@@ -24,6 +24,7 @@ only defined for summands, and a non-split member is a caller bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -33,8 +34,10 @@ from .exactlin import (
     ambient_module,
     contains,
     coordinates_in,
+    dump_submodule,
     is_split,
     is_unimodular,
+    load_submodule,
     span,
     sum_of,
     _rref_mod_p,
@@ -100,16 +103,23 @@ def collection(members: Iterable[Submodule], ring: Ring | None = None, ambient: 
 
 # ---------------------------------------------------------------------------
 # Subset tables.  Subsets of [k] are bitmasks; U[mask] is the intersection of
-# the members indexed by the mask, U[0] the ambient module.  Over F_2 with a
-# small ambient rank a subspace is encoded as the bitmask of its element
-# vectors, making intersection a single AND and sums cheap xor-translates.
+# the members indexed by the mask, U[0] the ambient module.
+#
+# Over F_p with p^n <= _FP_BITS_CAP a subspace is the bitmask of its elements,
+# vector v having index sum_j v_j p^j.  This is exact: a subspace is
+# determined by its element set; the intersection of subspaces is the
+# intersection of their element sets, a single AND; |U| = p^rank U, so the
+# rank is log_p of the popcount; and for e outside a subspace U, closing U
+# under adding every multiple of e gives U + <e>, of rank exactly rank U + 1.
+# So a sum or span is built from the zero vector by closing under each given
+# element that is not yet in it.
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class _GenericBackend:
-    def __init__(self, ring: Ring, ambient: int):
-        self.ring = ring
-        self.ambient = ambient
+    ring: Ring
+    ambient: int
 
     def encode(self, sub: Submodule) -> Submodule:
         return sub
@@ -130,31 +140,43 @@ class _GenericBackend:
         return is_split(obj)
 
 
-class _F2BitsBackend:
-    """Subspaces of F_2^n as bitmasks over the 2^n vectors (n small)."""
+class _FpBitsBackend:
+    """Subspaces of F_p^n as bitmasks over the p^n vectors.  Adding ``d`` to
+    digit ``j`` of every index moves those whose digit is below ``p - d`` up
+    by ``d p^j`` and the others down by ``(p - d) p^j``; ``_rep[j]`` has a
+    bit at the start of each run of ``p^(j+1)`` indices, so the indices with
+    digit ``j`` below ``c`` are ``(_rep[j] << c p^j) - _rep[j]``."""
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
+    def __init__(self, p: int, ambient: int):
+        self.p, self.ambient = p, ambient
+        self._pow = [p ** j for j in range(ambient)]
+        self._full = (1 << p ** ambient) - 1
+        self._rep = [self._full // ((1 << s * p) - 1) for s in self._pow]
+        self._log = {p ** r: r for r in range(ambient + 1)}
 
-    def encode(self, sub: Submodule) -> int:
-        rows = [sum(1 << j for j, x in enumerate(br) if x) for br in sub.basis]
-        mask = 1
-        for r in rows:
-            add = 0
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                add |= 1 << (v ^ r)
-                m ^= low
-            mask |= add
+    def _close(self, mask: int, digits: Sequence[int]) -> int:
+        """``mask`` closed under adding every multiple of the vector: union
+        with its translate by 1, 2, 4, ... times the vector while 2^i < p."""
+        p, reach = self.p, 1
+        while reach < p:
+            moved = mask
+            for d, s, rep in zip(digits, self._pow, self._rep):
+                if d:
+                    low = moved & ((rep << (p - d) * s) - rep)
+                    moved = (low << d * s) | ((moved ^ low) >> (p - d) * s)
+            mask |= moved
+            digits = [2 * d % p for d in digits]
+            reach *= 2
         return mask
 
+    def encode(self, sub: Submodule) -> int:
+        return self.sum_many([1 << sum(x * s for x, s in zip(row, self._pow)) for row in sub.basis])
+
     def full(self) -> int:
-        return (1 << (1 << self.ambient)) - 1
+        return self._full
 
     def rank(self, obj: int) -> int:
-        return obj.bit_count().bit_length() - 1
+        return self._log[obj.bit_count()]
 
     def intersect(self, a: int, b: int) -> int:
         return a & b
@@ -162,31 +184,25 @@ class _F2BitsBackend:
     def sum_many(self, objs: Sequence[int]) -> int:
         acc = 1
         for b in objs:
-            out = 0
-            m = acc
-            while m:
-                low = m & -m
-                a = low.bit_length() - 1
-                if a == 0:
-                    out |= b
-                else:
-                    mm = b
-                    while mm:
-                        lb = mm & -mm
-                        out |= 1 << ((lb.bit_length() - 1) ^ a)
-                        mm ^= lb
-                m ^= low
-            acc = out
+            while rest := b & ~acc:
+                v = (rest & -rest).bit_length() - 1
+                acc = self._close(acc, [v // s % self.p for s in self._pow])
         return acc
 
-    def split(self, obj: int) -> bool:
-        return True
+
+_FP_BITS_CAP = 1 << 12
 
 
+@lru_cache(maxsize=64)
 def _backend(ring: Ring, ambient: int):
-    if ring.is_field and ring.p == 2 and ambient <= 8:
-        return _F2BitsBackend(ambient)
+    if ring.is_field and ring.p ** ambient <= _FP_BITS_CAP:
+        return _FpBitsBackend(ring.p, ambient)
     return _GenericBackend(ring, ambient)
+
+
+def _check_cap(k: int, cap: int) -> None:
+    if k > cap:
+        raise SubsetCapExceeded(f"{k} members exceeds the subset cap {cap}")
 
 
 def _intersection_masks(col: Collection, backend) -> tuple[list, list[int]]:
@@ -215,7 +231,31 @@ def _expected_coranks(ranks: list[int], k: int) -> list[int]:
     return [ranks[s] - alt[s] for s in range(1 << k)]
 
 
+def _violations(col: Collection, backend, first_only: bool) -> list[dict]:
+    k = len(col.members)
+    table, ranks = _intersection_masks(col, backend)
+    expected = _expected_coranks(ranks, k)
+    out = []
+    for s in range(1 << k):
+        parts = [table[s | (1 << i)] for i in range(k) if not s & (1 << i)]
+        w = backend.sum_many(parts)
+        got = backend.rank(w)
+        if got != expected[s]:
+            bad = {"kind": "rank", "got": got, "want": expected[s]}
+        elif not col.ring.is_field and not backend.split(w):
+            bad = {"kind": "split"}
+        else:
+            continue
+        out.append({"subset": tuple(i + 1 for i in range(k) if s & (1 << i)), **bad})
+        if first_only:
+            break
+    return out
+
+
+# Decisions by (p, ambient, member bases); cleared whole when full, so that a
+# hit costs one lookup.
 _CBP_CACHE: dict = {}
+_CBP_CACHE_MAX = 1 << 15
 
 
 def clear_cbp_cache() -> None:
@@ -231,50 +271,24 @@ def has_cbp_ie(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     integers each such sum is a summand.  Over a field (b) is automatic and
     is skipped.
     """
-    k = len(col.members)
-    if k > cap:
-        raise SubsetCapExceeded(f"{k} members exceeds the subset cap {cap}")
+    _check_cap(len(col.members), cap)
     key = (col.ring.p, col.ambient, frozenset(m.basis for m in col.members))
     hit = _CBP_CACHE.get(key)
     if hit is not None:
         return hit
-    backend = _backend(col.ring, col.ambient)
-    table, ranks = _intersection_masks(col, backend)
-    expected = _expected_coranks(ranks, k)
-    need_split = not col.ring.is_field
-    result = True
-    for s in range(1 << k):
-        parts = [table[s | (1 << i)] for i in range(k) if not s & (1 << i)]
-        w = backend.sum_many(parts)
-        if backend.rank(w) != expected[s]:
-            result = False
-            break
-        if need_split and not backend.split(w):
-            result = False
-            break
+    result = not _violations(col, _backend(col.ring, col.ambient), first_only=True)
+    if len(_CBP_CACHE) >= _CBP_CACHE_MAX:
+        _CBP_CACHE.clear()
     _CBP_CACHE[key] = result
     return result
 
 
 def ie_violations(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> list[dict]:
     """All subsets violating the inclusion-exclusion criterion, with the kind
-    of failure (``rank`` or ``split``).  Empty iff :func:`has_cbp_ie`."""
-    k = len(col.members)
-    if k > cap:
-        raise SubsetCapExceeded(f"{k} members exceeds the subset cap {cap}")
-    backend = _GenericBackend(col.ring, col.ambient)
-    table, ranks = _intersection_masks(col, backend)
-    expected = _expected_coranks(ranks, k)
-    out = []
-    for s in range(1 << k):
-        subset = tuple(i + 1 for i in range(k) if s & (1 << i))
-        parts = [table[s | (1 << i)] for i in range(k) if not s & (1 << i)]
-        w = backend.sum_many(parts)
-        if backend.rank(w) != expected[s]:
-            out.append({"subset": subset, "kind": "rank", "got": backend.rank(w), "want": expected[s]})
-        elif not col.ring.is_field and not backend.split(w):
-            out.append({"subset": subset, "kind": "split"})
-    return out
+    of failure (``rank`` or ``split``).  Empty iff :func:`has_cbp_ie`.  Uses
+    the generic backend, so it cross-checks the bitset one."""
+    _check_cap(len(col.members), cap)
+    return _violations(col, _GenericBackend(col.ring, col.ambient), first_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +342,7 @@ def corank_table(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> CorankTable:
     here and raised as errors if violated; they are theorems, so a violation
     means a bug in the linear algebra."""
     k = len(col.members)
-    if k > cap:
-        raise SubsetCapExceeded(f"{k} members exceeds the subset cap {cap}")
+    _check_cap(k, cap)
     backend = _GenericBackend(col.ring, col.ambient)
     table, ranks = _intersection_masks(col, backend)
     size = 1 << k
@@ -354,7 +367,7 @@ def corank_table(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> CorankTable:
         g_values.append((mod, mod.rank - w.rank))
 
     gmap = dict(g_values)
-    for rec, s in zip(records, range(size)):
+    for rec in records:
         want = gmap[rec.module] if rec.minimal else 0
         if rec.f_value != want:
             raise CbpError(f"corank identity violated at subset {rec.subset}")
@@ -384,9 +397,7 @@ def common_basis_greedy(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> Commo
     non-split sum or the assembled spanning set exceeds the ambient rank;
     a returned basis always reverifies.
     """
-    k = len(col.members)
-    if k > cap:
-        raise SubsetCapExceeded(f"{k} members exceeds the subset cap {cap}")
+    _check_cap(len(col.members), cap)
     ring, n = col.ring, col.ambient
     backend = _GenericBackend(ring, n)
     table, _ = _intersection_masks(col, backend)
@@ -404,8 +415,7 @@ def common_basis_greedy(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> Commo
     for mod in sorted(distinct, key=lambda m: (height[m], m.sort_key())):
         inherited = frozenset().union(*(marks[o] for o in below[mod])) if below[mod] else frozenset()
         lower_sum = sum_of(below[mod], ring, n)
-        deficit = mod.rank - lower_sum.rank
-        if deficit == 0 and lower_sum == mod:
+        if lower_sum == mod:
             marks[mod] = inherited
             continue
         ext = _extend_inside(lower_sum, mod)
@@ -441,24 +451,16 @@ def _extend_inside(p: Submodule, x: Submodule) -> list[tuple[int, ...]] | None:
         assert c is not None
         coords.append(c)
     if x.ring.is_field:
-        red, pivots = _rref_mod_p([list(c) for c in coords], m, x.ring.p)
-        free = [j for j in range(m) if j not in pivots]
-        ext_coords = [[1 if c == j else 0 for c in range(m)] for j in free]
+        _, pivots = _rref_mod_p([list(c) for c in coords], m, x.ring.p)
+        ext_coords = [[int(c == j) for c in range(m)] for j in range(m) if j not in pivots]
     else:
         divisors, w = _snf_dense([list(c) for c in coords], m, want_colbasis=True)
         if any(d != 1 for d in divisors):
             return None
         assert w is not None
         ext_coords = w[len(divisors):]
-    out = []
-    for coeffs in ext_coords:
-        vec = [0] * x.ambient
-        for coeff, brow in zip(coeffs, x.basis):
-            if coeff:
-                for j, val in enumerate(brow):
-                    vec[j] += coeff * val
-        out.append(tuple(x.ring.reduce(v) for v in vec))
-    return out
+    return [tuple(x.ring.reduce(sum(c * brow[j] for c, brow in zip(coeffs, x.basis)))
+                  for j in range(x.ambient)) for coeffs in ext_coords]
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +502,10 @@ def mobius_boolean(s: Iterable[int], t: Iterable[int]) -> int:
 
 def dump_collection(col: Collection) -> str:
     """One submodule block per member, blank-line separated."""
-    from .exactlin import dump_submodule
-
     return "\n\n".join(dump_submodule(m) for m in col.members) + "\n"
 
 
 def load_collection(text: str, ring=None, ambient=None) -> Collection:
-    from .exactlin import load_submodule
-
     blocks = [b for b in text.split("\n\n") if b.strip()]
     members = tuple(load_submodule(b) for b in blocks)
     return collection(members, ring=ring, ambient=ambient)

@@ -7,7 +7,9 @@ check name, the configuration (including the seed and all resolved
 defaults) is echoed back, and the output is byte-exact for a fixed
 (config, seed, version) -- wall-clock timing is only included on request
 (``--timing``) precisely so that the default output stays reproducible.
-The process exits 0 iff every verdict passes.
+The process exits 0 iff every verdict passes, 1 when one fails, and 2 when
+a cap or an internal consistency check stops the run: that report carries an
+``error`` block (``type``, ``message``) instead of verdicts.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import time
 
 from . import __version__
 from .cbp import (
+    ClosureCapExceeded,
+    SubsetCapExceeded,
     collection,
     common_basis_greedy,
     corank_table,
@@ -28,6 +32,8 @@ from .cbp import (
     load_collection,
 )
 from .complexes import (
+    DEFAULT_MAX_SIMPLICES,
+    CapExceeded,
     SimplicialComplex,
     common_basis_complex,
     dump_complex,
@@ -42,9 +48,13 @@ from .complexes import (
     tits,
 )
 from .exactlin import ZZ, span
-from .homology import chains, homology
-from .simpmodel import check_bar_model, check_suspension
-from .steinberg import bar_euler, st_rank_classical, tor
+from .homology import HomologyError, chains, homology
+from .simpmodel import ModelError, check_bar_model, check_suspension
+from .steinberg import SteinbergError, bar_euler, st_rank_classical, tor
+
+# Raised when a run hits a cap or a failed internal check; reported with exit 2.
+REPORTED_ERRORS = (CapExceeded, SubsetCapExceeded, ClosureCapExceeded, SteinbergError,
+                   HomologyError, ModelError)
 
 
 def _report(config: dict, results: dict, verdicts: list[dict], started: float,
@@ -63,28 +73,36 @@ def _report(config: dict, results: dict, verdicts: list[dict], started: float,
 
 
 def _emit(report: dict, args) -> int:
+    error = report.get("error")
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         lines = ["check,pass"]
         lines += [f"{v['check']},{str(v['pass']).lower()}" for v in report["verdicts"]]
+        if error:
+            lines.append("error,false")
         text = "\n".join(lines) + "\n"
     else:
         lines = [f"{report['tool']} {report['version']} schema {report['schema']}"]
         for v in report["verdicts"]:
             lines.append(f"{'PASS' if v['pass'] else 'FAIL'}  {v['check']}")
+        if error:
+            lines.append(f"ERROR  {error['type']}: {error['message']}")
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if error:
+        return 2
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
 
 
 def _build_complex(args) -> SimplicialComplex:
     kind = args.kind
-    caps = {"max_vertices": args.max_vertices, "max_dim": args.max_dim}
+    caps = {"max_vertices": args.max_vertices, "max_simplices": args.max_simplices,
+            "max_dim": args.max_dim}
     if kind == "tits":
         return tits(args.n, args.p, **caps)
     if kind == "split-tits":
@@ -165,7 +183,7 @@ def cmd_cbp(args) -> int:
 
 def _suite_connectivity(args, results, verdicts):
     n, p = args.n, args.p
-    k = common_basis_complex(n, p)
+    k = common_basis_complex(n, p, max_simplices=args.max_simplices)
     prof = homology(chains(k))
     results["profile"] = prof.to_jsonable()
     low_ok = all(d > 2 * n - 4 for d in prof.nonzero_degrees())
@@ -298,6 +316,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--max-dim", type=int, default=None)
     parser.add_argument("--max-vertices", type=int, default=5000)
+    parser.add_argument("--max-simplices", type=int, default=DEFAULT_MAX_SIMPLICES)
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("--out", default=None)
     parser.add_argument("--timing", action="store_true",
@@ -332,7 +351,14 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    started = time.monotonic()
+    try:
+        return args.func(args)
+    except REPORTED_ERRORS as err:
+        config = {key: value for key, value in vars(args).items() if key != "func"}
+        report = _report(config, {}, [], started, args.timing)
+        report["error"] = {"type": type(err).__name__, "message": str(err)}
+        return _emit(report, args)
 
 
 if __name__ == "__main__":

@@ -599,9 +599,10 @@ def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
         sigma_members = sigma.members
 
     subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
+    # Splitting pairs are only vertices of slots a..a+b-1.
     pairs = [
         (x, y) for x in subs for y in subs if x.rank + y.rank == n and (x & y).is_zero
-    ]
+    ] if b else []
     # A single factor is a subcomplex of the flag or splitting complex
     # itself, so its vertices stay untagged and directly comparable.
     tagged = a + b > 1

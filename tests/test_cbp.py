@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commonbasis import cbp
 from commonbasis.cbp import (
     CbpError,
     Collection,
@@ -25,13 +26,22 @@ from commonbasis.exactlin import (
     ZZ,
     all_subspaces,
     ambient_module,
+    coordinates_in,
     intersect,
+    is_prime,
     is_split,
     is_unimodular,
     span,
     span_sum,
+    sum_of,
 )
-from helpers import brute_force_cbp, random_flag_Z, random_split_submodule, random_subspace
+from helpers import (
+    brute_force_cbp,
+    random_flag_Z,
+    random_invertible_mod_p,
+    random_split_submodule,
+    random_subspace,
+)
 
 F2 = GF(2)
 E1 = span(F2, 2, [(1, 0)])
@@ -268,3 +278,91 @@ def test_collection_file_round_trip(tmp_path):
     col = collection([span(ZZ, 3, [(1, 0, 2)]), span(ZZ, 3, [(1, 0, 0), (0, 1, 0)])])
     text = dump_collection(col)
     assert load_collection(text) == col
+
+
+# ---------------------------------------------------------------------------
+# The small-field bitset backend against the generic one and the oracle.
+# ---------------------------------------------------------------------------
+
+
+def _admitted_classes() -> list[tuple[int, int]]:
+    """Every (p, n) whose decisions go through the bitset backend."""
+    cap = cbp._FP_BITS_CAP
+    return [(p, n) for p in range(2, cap + 1) if is_prime(p)
+            for n in range(1, cap.bit_length()) if p ** n <= cap]
+
+
+def _random_field_collection(rng: random.Random, n: int, p: int) -> Collection:
+    """2 to 5 subspaces, one of three kinds at random: spans of subsets of one
+    random basis (a common basis exists); three lines of one plane and such
+    spans (none exists); free draws."""
+    ring = GF(p)
+    k = rng.randint(2, 5)
+    kind = rng.randrange(3) if n > 1 else 2
+    basis = random_invertible_mod_p(rng, n, p).entries
+    if kind == 2:
+        members = [random_subspace(rng, n, p) for _ in range(k)]
+    else:
+        members = [span(ring, n, rng.sample(basis, rng.randint(0, n))) for _ in range(k)]
+    if kind == 1:
+        b1, b2 = basis[:2]
+        members += [span(ring, n, [b]) for b in (b1, b2, [x + y for x, y in zip(b1, b2)])]
+        rng.shuffle(members)
+    return Collection(ring, n, tuple(dict.fromkeys(members)), trusted=True)
+
+
+def test_fp_bits_backend_matches_submodule_operations():
+    classes = _admitted_classes()
+    assert {(2, 12), (3, 7), (61, 2), (4093, 1)} <= set(classes)
+    rng = random.Random(4)
+    for p, n in classes:
+        ring = GF(p)
+        backend = cbp._backend(ring, n)
+        assert isinstance(backend, cbp._FpBitsBackend)
+        assert backend.full() == backend.encode(ambient_module(ring, n))
+        for _ in range(3 if n > 1 else 1):
+            members = _random_field_collection(rng, n, p).members
+            enc = [backend.encode(m) for m in members]
+            assert [backend.rank(e) for e in enc] == [m.rank for m in members]
+            assert backend.intersect(enc[0], enc[-1]) == backend.encode(members[0] & members[-1])
+            assert backend.sum_many(enc) == backend.encode(sum_of(members, ring, n))
+            assert backend.rank(backend.sum_many(enc)) == sum_of(members, ring, n).rank
+        if p ** n <= 243:
+            # the encoding is the element set, indexed in base p
+            m = members[0]
+            vectors = [[v // p ** j % p for j in range(n)] for v in range(p ** n)]
+            want = sum(1 << v for v, vec in enumerate(vectors) if coordinates_in(m, vec) is not None)
+            assert backend.encode(m) == want
+    above = next(q for q in range(cbp._FP_BITS_CAP + 1, 2 * cbp._FP_BITS_CAP) if is_prime(q))
+    for p, n in [(2, 13), (3, 8), (67, 2), (above, 1)]:
+        assert isinstance(cbp._backend(GF(p), n), cbp._GenericBackend)
+
+
+def test_fp_bits_decisions_match_generic_and_brute_force():
+    oracle_classes = {(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)}
+    rng = random.Random(7)
+    answers = {True: 0, False: 0}
+    for p, n in _admitted_classes():
+        for _ in range(12 if (p, n) in oracle_classes else 4 if n > 1 else 1):
+            col = _random_field_collection(rng, n, p)
+            cbp.clear_cbp_cache()
+            ie = has_cbp_ie(col)
+            assert ie == (not ie_violations(col)), (p, n, col.members)
+            if (p, n) in oracle_classes:
+                assert ie == brute_force_cbp(col.members, n, p), (p, n, col.members)
+            answers[ie] += 1
+    assert min(answers.values()) > 50
+
+
+def test_cbp_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(cbp, "_CBP_CACHE", {})
+    monkeypatch.setattr(cbp, "_CBP_CACHE_MAX", 8)
+    subs = all_subspaces(3, 2, 1, 2)
+    cols = [collection(list(m)) for m in combinations(subs, 3)][:40]
+    first = []
+    for col in cols:
+        first.append(has_cbp_ie(col))
+        assert 0 < len(cbp._CBP_CACHE) <= 8
+    assert [has_cbp_ie(col) for col in cols] == first
+    assert first == [not ie_violations(col) for col in cols]
+    assert True in first and False in first

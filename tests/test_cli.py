@@ -80,6 +80,24 @@ def test_verify_exit_codes_and_reports(capsys):
     assert code == 1 and not json.loads(out)["verdicts"][0]["pass"]
 
 
+def test_limits_are_error_reports_with_exit_two(capsys, tmp_path):
+    code, out = run(capsys, "build", "cb", "--n", "3", "--p", "3", "--max-simplices", "10")
+    report = json.loads(out)
+    assert code == 2
+    assert report["error"] == {"type": "CapExceeded", "message": "more than 10 simplices"}
+    assert report["config"]["max_simplices"] == 10 and report["verdicts"] == []
+    code, out = run(capsys, "verify", "connectivity", "--n", "3", "--p", "3",
+                    "--max-simplices", "10", "--format", "text")
+    assert code == 2 and "ERROR  CapExceeded: more than 10 simplices" in out
+    two = tmp_path / "two.col"
+    two.write_text(dump_collection(collection([span(ZZ, 2, [(1, 0)]), span(ZZ, 2, [(0, 1)])])))
+    code, out = run(capsys, "cbp", "--collection", str(two), "--k", "1")
+    assert code == 2 and json.loads(out)["error"]["type"] == "SubsetCapExceeded"
+    # a limit is told apart from a verdict: under the cap the same run passes
+    code, out = run(capsys, "cbp", "--collection", str(two), "--k", "2")
+    assert code == 0 and "error" not in json.loads(out)
+
+
 def test_reports_are_byte_exact_and_timing_is_opt_in(capsys):
     _, out1 = run(capsys, "verify", "morse", "--seed", "5", "--count", "7")
     _, out2 = run(capsys, "verify", "morse", "--seed", "5", "--count", "7")

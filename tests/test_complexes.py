@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from commonbasis import cbp
 from commonbasis.cbp import collection
 from commonbasis.complexes import (
     from_label_facets,
@@ -152,6 +153,24 @@ def test_decision_strategies_agree():
         assert common_basis_complex(n, p, decision="ie") == common_basis_complex(n, p, decision="bases")
     for args in [(2, 0, 2, 2), (1, 1, 2, 2), (2, 0, 3, 2)]:
         assert higher_tits(*args, decision="ie") == higher_tits(*args, decision="bases")
+
+
+def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
+    cb = common_basis_complex(3, 3)
+    sigmas = [collection([cb.vertices[i] for i in s], ring=GF(3), ambient=3)
+              for s in sorted(cb.simplex_set(), key=lambda s: (len(s), s))[::200]]
+
+    def build_all():
+        monkeypatch.setattr(cbp, "_CBP_CACHE", {})
+        return ([common_basis_complex(3, 3), higher_tits(1, 1, 2, 3)]
+                + [higher_tits(1, 0, 3, 3, sigma) for sigma in sigmas])
+
+    bits = build_all()
+    monkeypatch.setattr(cbp, "_backend", lambda ring, n: cbp._GenericBackend(ring, n))
+    generic = build_all()
+    assert len(sigmas) > 30 and bits[0] == cb
+    for a, b in zip(bits, generic, strict=True):
+        assert a == b
 
 
 def test_caps_raise():
