@@ -99,10 +99,15 @@ def _emit(report: dict, args) -> int:
     return 0 if all(v["pass"] for v in report["verdicts"]) else 1
 
 
+def _caps(args) -> dict:
+    """The complex caps of the common flags, as builder keyword arguments."""
+    return {"max_vertices": args.max_vertices, "max_simplices": args.max_simplices,
+            "max_dim": args.max_dim}
+
+
 def _build_complex(args) -> SimplicialComplex:
     kind = args.kind
-    caps = {"max_vertices": args.max_vertices, "max_simplices": args.max_simplices,
-            "max_dim": args.max_dim}
+    caps = _caps(args)
     if kind == "tits":
         return tits(args.n, args.p, **caps)
     if kind == "split-tits":
@@ -183,7 +188,7 @@ def cmd_cbp(args) -> int:
 
 def _suite_connectivity(args, results, verdicts):
     n, p = args.n, args.p
-    k = common_basis_complex(n, p, max_simplices=args.max_simplices)
+    k = common_basis_complex(n, p, **_caps(args))
     prof = homology(chains(k))
     results["profile"] = prof.to_jsonable()
     low_ok = all(d > 2 * n - 4 for d in prof.nonzero_degrees())
@@ -219,7 +224,7 @@ def _suite_morse(args, results, verdicts):
 
 
 def _suite_suspension(args, results, verdicts):
-    rep = check_suspension(args.a, args.b, args.n, args.p)
+    rep = check_suspension(args.a, args.b, args.n, args.p, **_caps(args))
     results["building"] = rep.building_profile.to_jsonable()
     results["model"] = rep.model_profile.to_jsonable()
     verdicts.append(
@@ -241,9 +246,10 @@ def _suite_join(args, results, verdicts):
         verdicts.append({"check": "join-identity-fails-over-Z", "pass": not building_simplex})
         return
     n, p = args.n, args.p
-    t = tits(n, p)
+    caps = _caps(args)
+    t = tits(n, p, **caps)
     j = join(t, t)
-    h = higher_tits(2, 0, n, p)
+    h = higher_tits(2, 0, n, p, **caps)
     same = {h.label_simplex(s) for s in h.simplex_set()} == {
         j.label_simplex(s) for s in j.simplex_set()
     }
@@ -254,8 +260,9 @@ def _suite_join(args, results, verdicts):
 
 def _suite_split_compare(args, results, verdicts):
     a, b, n, p = args.a, args.b, args.n, args.p
-    left = homology(chains(higher_tits(a, b, n, p)))
-    right = homology(chains(higher_tits(a + b, 0, n, p)))
+    caps = _caps(args)
+    left = homology(chains(higher_tits(a, b, n, p, **caps)))
+    right = homology(chains(higher_tits(a + b, 0, n, p, **caps)))
     results["split_profile"] = left.to_jsonable()
     results["flag_profile"] = right.to_jsonable()
     verdicts.append(
@@ -264,7 +271,8 @@ def _suite_split_compare(args, results, verdicts):
 
 
 def _suite_bar_model(args, results, verdicts):
-    rep = check_bar_model(args.a, args.b, args.n, args.p, cutoff=3)
+    rep = check_bar_model(args.a, args.b, args.n, args.p, cutoff=3,
+                          max_simplices=args.max_simplices)
     results["counts"] = {f"{k[0]},{k[1]}": list(v) for k, v in sorted(rep.counts.items())}
     verdicts.append(
         {"check": f"bar-model-bijection-a{args.a}-b{args.b}-n{args.n}-p{args.p}", "pass": rep.ok}

@@ -343,18 +343,15 @@ def _clique_complex(
     max_dim: int | None = None,
 ) -> SimplicialComplex:
     n = len(labels)
+    vertices = [i for i in range(n) if accept is None or accept((i,))]
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
+    for k, i in enumerate(vertices):
+        for j in vertices[k + 1:]:
             if edge(i, j):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    simplices: set[tuple[int, ...]] = set()
-    level: list[tuple[tuple[int, ...], int]] = []
-    for i in range(n):
-        if accept is None or accept((i,)):
-            simplices.add((i,))
-            level.append(((i,), adj[i]))
+    simplices: set[tuple[int, ...]] = {(i,) for i in vertices}
+    level: list[tuple[tuple[int, ...], int]] = [((i,), adj[i]) for i in vertices]
     while level and (max_dim is None or len(level[0][0]) <= max_dim):
         nxt = []
         for simplex, common in level:
@@ -376,6 +373,11 @@ def _clique_complex(
                     raise CapExceeded(f"more than {max_simplices} simplices")
                 nxt.append((cand, common & adj[v]))
         level = nxt
+    if len(vertices) < n:
+        # Only accepted labels are vertices: compact them, in their order.
+        new_index = {i: k for k, i in enumerate(vertices)}
+        labels = [labels[i] for i in vertices]
+        simplices = {tuple(new_index[v] for v in s) for s in simplices}
     return SimplicialComplex(labels, simplices)
 
 

@@ -667,22 +667,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def complements_in(w: Submodule, a: Submodule, candidates: Sequence[Submodule] | None = None) -> list[Submodule]:
-    """All subspaces ``c`` with ``a (+) c == w`` (direct sum), drawn from
-    ``candidates`` or from all subspaces of the ambient space."""
-    _check_same_ambient(w, a)
-    if not w.ring.is_field:
-        raise ExactLinError("complement enumeration is field-only")
-    if candidates is None:
-        candidates = all_subspaces(w.ambient, w.ring.p)
-    want = w.rank - a.rank
-    out = []
-    for c in candidates:
-        if c.rank == want and contains(w, c) and (a & c).is_zero:
-            out.append(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization: line-oriented text form, bit-exact round trip.
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ verification paths uses it.
 The Smith normal form engine eliminates unit pivots chosen by a minimal
 fill-in (Markowitz) heuristic with deterministic tie-breaking, then hands
 any residual matrix without unit entries to an exact gcd-pivot phase.
+
+A chain complex reduces its boundaries from low degree to high and clears
+as it goes: the rows of the boundary out of degree d+1 indexed by the
+columns where the unit phase pivoted on the boundary out of degree d are
+dropped before reduction, since they are integer combinations of the other
+rows (the proof sketch is above ``ChainComplex.boundary_divisors``).  The
+boundary-squared check always runs on the full boundaries.
 """
 
 from __future__ import annotations
@@ -34,9 +41,14 @@ class HomologyError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int) -> list[int]:
+def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
+                 unit_pivot_cols: list[int] | None = None) -> list[int]:
     """Nonzero elementary divisors ``d_1 | d_2 | ...`` of a sparse integer
-    matrix given as ``{(row, col): value}``."""
+    matrix given as ``{(row, col): value}``.
+
+    If ``unit_pivot_cols`` is a list, the columns where the unit phase
+    pivoted are appended to it in pivot order; the dense fallback's pivots
+    are never reported."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
@@ -103,6 +115,8 @@ def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int) ->
             row_sub(r2, rows[r2][c] * v, r)
         remove_pivot(r, c)
         unit_count += 1
+        if unit_pivot_cols is not None:
+            unit_pivot_cols.append(c)
 
     if not rows:
         return [1] * unit_count
@@ -213,6 +227,9 @@ class ChainComplex:
             self.boundaries[d] = entries
         self._check_dd_zero()
         self._divisor_cache: dict[int, list[int]] = {}
+        # unit-phase pivot columns of the latest reduced boundaries, kept
+        # until the boundary one degree up has been cleared by them
+        self._unit_pivots: dict[int, set[int]] = {}
 
     def _check_dd_zero(self) -> None:
         for d, upper in self.boundaries.items():
@@ -236,13 +253,43 @@ class ChainComplex:
     def size(self, d: int) -> int:
         return self.sizes.get(d, 0)
 
+    # Clearing (the twist of Chen-Kerber, carried over from Z/2 to unimodular
+    # pivots over Z).  Write B_e for boundaries[e], the map out of degree e.
+    # Boundaries are reduced from low degree to high, and the rows of
+    # B_{e+1} indexed by the unit-phase pivot columns C of B_e are dropped
+    # before B_{e+1} is reduced.  Why its nonzero elementary divisors do not
+    # change:
+    # - the unit phase uses row operations only, so E B_e = U with E
+    #   unimodular;
+    # - U restricted to the pivot rows R and the pivot columns C, taken in
+    #   pivot order, is triangular with +-1 on its diagonal (a pivot row is
+    #   frozen once used, and each later pivot column is cleared from every
+    #   row still live), so U[R, C] is unimodular;
+    # - B_e B_{e+1} = 0 (checked in __init__ on the full boundaries) gives
+    #   U[R, :] B_{e+1} = 0, so rows C of B_{e+1} equal
+    #   -U[R, C]^-1 U[R, not C] B_{e+1}[not C, :], integer combinations of
+    #   its other rows;
+    # - the row lattice of B_{e+1}, and with it the nonzero elementary
+    #   divisors, is therefore unchanged when those rows are dropped.
+    # B_e may itself have been cleared: dropping rows keeps B_e B_{e+1} = 0.
+    # Pivots of the dense fallback come with column operations, so they
+    # are never used to clear.
     def boundary_divisors(self, d: int) -> list[int]:
-        if d not in self._divisor_cache:
-            entries = self.boundaries.get(d, {})
-            self._divisor_cache[d] = (
-                snf_divisors(entries, self.size(d - 1), self.size(d)) if entries else []
+        for e in sorted(self.boundaries):
+            if e > d:
+                break
+            if e in self._divisor_cache:
+                continue
+            entries = self.boundaries[e]
+            cleared = self._unit_pivots.pop(e - 1, None)
+            if cleared:
+                entries = {rc: v for rc, v in entries.items() if rc[0] not in cleared}
+            pivots: list[int] = []
+            self._divisor_cache[e] = (
+                snf_divisors(entries, self.size(e - 1), self.size(e), pivots) if entries else []
             )
-        return self._divisor_cache[d]
+            self._unit_pivots[e] = set(pivots)
+        return self._divisor_cache.get(d, [])
 
     def boundary_rank(self, d: int) -> int:
         return len(self.boundary_divisors(d))

@@ -32,7 +32,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .cbp import Collection, has_cbp_ie
-from .complexes import higher_tits
+from .complexes import DEFAULT_MAX_SIMPLICES, DEFAULT_MAX_VERTICES, higher_tits
 from .exactlin import (
     GF,
     Ring,
@@ -398,13 +398,18 @@ class SuspensionReport:
     model_profile: HomologyProfile
 
 
-def check_suspension(a: int, b: int, n: int, p: int) -> SuspensionReport:
+def check_suspension(a: int, b: int, n: int, p: int,
+                     max_vertices: int = DEFAULT_MAX_VERTICES,
+                     max_simplices: int = DEFAULT_MAX_SIMPLICES,
+                     max_dim: int | None = None) -> SuspensionReport:
     """Compare the reduced homology of the higher building with the model's
-    homology shifted down by a+b+1 in every degree."""
+    homology shifted down by a+b+1 in every degree.  The caps go to the
+    building; ``max_simplices`` bounds the model too."""
     if n < 1:
         raise ModelError("suspension comparison needs positive rank")
-    building = homology(chains(higher_tits(a, b, n, p)))
-    model_prof = d_model(a, b, n, p).homology()
+    building = homology(chains(higher_tits(a, b, n, p, max_vertices=max_vertices,
+                                           max_simplices=max_simplices, max_dim=max_dim)))
+    model_prof = d_model(a, b, n, p, max_simplices).homology()
     ok = model_prof == building.shifted(a + b + 1)
     return SuspensionReport(a, b, n, p, ok, building, model_prof)
 
@@ -466,16 +471,6 @@ def _apply_degens(simplex: ModelSimplex, positions: Iterable[int], a: int, facto
         for f in range(a, factors):
             out[f] = _degen_parts(out[f], j, zero)
     return tuple(out)
-
-
-def embed_block(sub: Submodule, offset: int, total: int) -> Submodule:
-    """Image of a subspace of F_p^k inside F_p^total with its coordinates
-    placed at [offset, offset + k)."""
-    rows = [
-        (0,) * offset + tuple(row) + (0,) * (total - offset - sub.ambient)
-        for row in sub.basis
-    ]
-    return span(sub.ring, total, rows)
 
 
 def _combine(x: ModelSimplex, y: ModelSimplex, a: int, factors: int, m: int, n: int) -> ModelSimplex:
@@ -618,7 +613,8 @@ class BarModelReport:
     faces_checked: int
 
 
-def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3) -> BarModelReport:
+def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
+                    max_simplices: int = DEFAULT_MODEL_CAP) -> BarModelReport:
     """Enumerate the nondegenerate bisimplices of the two-sided bar
     construction on the diagonal model in bidegrees up to the cutoff and
     exhibit the bijection with the model having one extra splitting factor
@@ -628,7 +624,7 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3) -> BarModel
     factors = a + b
     zero = zero_module(ring, n)
 
-    base = d_model(a, b, n, p)
+    base = d_model(a, b, n, p, max_simplices)
     block_models: dict[tuple[Submodule, ...], dict] = {}
 
     def slot_elements(part: Submodule, degree: int):
@@ -637,7 +633,7 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3) -> BarModel
         over active position sets, transported from the standard model."""
         key = part.basis
         if key not in block_models:
-            std = d_model(a, b, part.rank, p)
+            std = d_model(a, b, part.rank, p, max_simplices)
             transported: dict[int, list[ModelSimplex]] = {}
             for r, simps in std.simplices.items():
                 transported[r] = [

@@ -262,29 +262,6 @@ def block_swap_rows(a: int, b: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def gl_action_on_st(g_rows: Sequence[Sequence[int]], st: SteinbergModule) -> list[list[int]]:
-    """Matrix (rows = images of basis cycles, in basis coordinates) of the
-    action of an invertible matrix on the Steinberg module, computed by
-    permuting top-degree flags."""
-    key = ("gl", st.n, st.p, tuple(tuple(r) for r in g_rows))
-    if key in _TRANSPORT_CACHE:
-        return _TRANSPORT_CACHE[key]
-    model = st.model
-    top = model.simplices.get(st.n, ())
-    index = model.index.get(st.n, {})
-    ring = GF(st.p)
-    perm = [index[apply_gl_to_simplex(s, g_rows, ring, st.n)] for s in top]
-    out = []
-    for z in st.cycles:
-        image = [0] * len(top)
-        for c, v in enumerate(z):
-            if v:
-                image[perm[c]] += v
-        out.append(st.express(image))
-    _TRANSPORT_CACHE[key] = out
-    return out
-
-
 def transport_rows(a_sub: Submodule, b_sub: Submodule) -> tuple[tuple[int, ...], ...]:
     """The change of coordinates comparing the block identification of
     A (+) B with the canonical basis of the sum: row i is the i-th stacked

@@ -98,6 +98,25 @@ def test_limits_are_error_reports_with_exit_two(capsys, tmp_path):
     assert code == 0 and "error" not in json.loads(out)
 
 
+def test_verify_suites_honour_the_caps(capsys):
+    code, out = run(capsys, "verify", "join", "--n", "2", "--p", "3", "--max-vertices", "1")
+    report = json.loads(out)
+    assert code == 2 and report["error"]["type"] == "CapExceeded"
+    assert report["config"]["max_vertices"] == 1 and report["verdicts"] == []
+    for suite in ["split-compare", "suspension", "connectivity"]:
+        code, out = run(capsys, "verify", suite, "--a", "1", "--b", "1", "--n", "2", "--p", "3",
+                        "--max-vertices", "1")
+        assert code == 2 and json.loads(out)["error"]["type"] == "CapExceeded", suite
+    code, out = run(capsys, "verify", "split-compare", "--a", "1", "--b", "1", "--n", "2",
+                    "--p", "3", "--max-simplices", "3")
+    assert code == 2 and json.loads(out)["error"]["message"] == "more than 3 simplices"
+    code, out = run(capsys, "verify", "bar-model", "--a", "1", "--b", "0", "--n", "2",
+                    "--p", "2", "--max-simplices", "2")
+    report = json.loads(out)
+    assert code == 2 and report["error"] == {"type": "ModelError",
+                                             "message": "model exceeds 2 simplices"}
+
+
 def test_reports_are_byte_exact_and_timing_is_opt_in(capsys):
     _, out1 = run(capsys, "verify", "morse", "--seed", "5", "--count", "7")
     _, out2 = run(capsys, "verify", "morse", "--seed", "5", "--count", "7")

@@ -114,6 +114,25 @@ def test_relative_building_is_full_subcomplex():
             }
 
 
+def test_relative_building_vertices_are_its_0_simplices():
+    # labels that the relative condition rejects are not vertices: the
+    # label list, the f-vector and the dumped header all agree
+    shrunk = 0
+    for n, p, stride in [(3, 2, 1), (2, 3, 1), (3, 3, 40)]:
+        t = tits(n, p)
+        cb = common_basis_complex(n, p)
+        for s in sorted(cb.simplex_set(), key=lambda s: (len(s), s))[::stride]:
+            sigma = collection([cb.vertices[i] for i in s], ring=GF(p), ambient=n)
+            rel = higher_tits(1, 0, n, p, sigma)
+            f = rel.f_vector()
+            assert len(rel.vertices) == (f[0] if f else 0)
+            assert dump_complex(rel).startswith(f"#vertices {len(rel.vertices)}\n")
+            assert load_complex(dump_complex(rel)) == rel
+            assert rel.is_subcomplex_of(t)
+            shrunk += len(rel.vertices) < len(t.vertices)
+    assert shrunk > 0
+
+
 def test_join_link_star_basics():
     three = tits(2, 2)
     k33 = join(three, three)

@@ -1,15 +1,21 @@
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from commonbasis.cbp import collection
 from commonbasis.complexes import (
     common_basis_complex,
     empty_complex,
     from_label_facets,
+    higher_tits,
     join,
+    morse_check,
+    random_morse_instance,
     tits,
 )
-from commonbasis.exactlin import _snf_dense
+from commonbasis.exactlin import GF, _snf_dense
 from commonbasis.homology import (
     ChainComplex,
     HomologyError,
@@ -18,9 +24,17 @@ from commonbasis.homology import (
     homology,
     is_c_connected_homologically,
     rank_mod_p,
+    relative_chains,
     relative_homology,
     snf_divisors,
 )
+from commonbasis.simpmodel import d_model
+from commonbasis.steinberg import bar_complex
+
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
 
 
 def _triangle():
@@ -51,11 +65,7 @@ def test_boundary_squared_checked():
 
 def test_torsion_detected_projective_plane():
     # minimal 6-vertex triangulation of the projective plane
-    rp2 = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]
-    k = from_label_facets(rp2)
+    k = from_label_facets(RP2_FACETS)
     assert k.f_vector() == [6, 15, 10]
     prof = homology(chains(k))
     assert prof.torsion(1) == (2,) and prof.betti(1) == 0 and prof.betti(2) == 0
@@ -188,3 +198,180 @@ def test_solomon_tits_small():
         assert prof.nonzero_degrees() == [n - 2]
         assert not prof.has_torsion()
         assert prof.betti(n - 2) == p ** (n * (n - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# Clearing: boundary_divisors drops the rows of each boundary indexed by the
+# unit-phase pivot columns of the boundary below it.  The divisors must be
+# those of the full, uncleared boundary in every degree.
+# ---------------------------------------------------------------------------
+
+
+def _assert_clearing_exact(c: ChainComplex) -> int:
+    """Compare cleared and uncleared divisors degree by degree; return the
+    number of nonzero boundary rows that clearing had to drop."""
+    dropped = 0
+    for d in sorted(c.boundaries):
+        full = c.boundaries[d]
+        assert c.boundary_divisors(d) == snf_divisors(full, c.size(d - 1), c.size(d)), d
+        below = c.boundaries.get(d - 1)
+        if below:
+            pivots: list[int] = []
+            snf_divisors(below, c.size(d - 2), c.size(d - 1), pivots)
+            cleared = set(pivots)
+            dropped += len({r for r, _ in full if r in cleared})
+    return dropped
+
+
+def _cone_over_rp2_morse():
+    """A Morse instance with torsion: the cone over the projective plane
+    with S the apex, whose link is the projective plane itself."""
+    apex = 0
+    x = from_label_facets([(apex,) + f for f in RP2_FACETS])
+    return x, [(x.index_of(apex),)]
+
+
+def _complex_classes():
+    cb32 = common_basis_complex(3, 2)
+    sigma = collection([cb32.vertices[0], cb32.vertices[-1]], ring=GF(2), ambient=3)
+    relative = higher_tits(1, 0, 3, 2, sigma)
+    yield "tits(3,2)", chains(tits(3, 2))
+    yield "tits(3,3)", chains(tits(3, 3))
+    yield "common_basis_complex(3,2)", chains(cb32)
+    yield "higher_tits(1,1,2,3)", chains(higher_tits(1, 1, 2, 3))
+    yield "higher_tits(2,0,3,2)", chains(higher_tits(2, 0, 3, 2))
+    yield "relative building", chains(relative)
+    yield "join", chains(join(tits(2, 2), tits(3, 2)))
+    yield "relative_chains(tits, relative building)", relative_chains(tits(3, 2), relative)
+    yield "relative_chains(common basis complex, tits)", relative_chains(cb32, tits(3, 2))
+    for a, n in [(1, 2), (1, 3), (2, 2)]:
+        yield f"d_model({a},0,{n},2)", d_model(a, 0, n, 2).chain_complex()
+    yield "bar_complex(3,2)", bar_complex(3, 2).complex
+    rp2 = from_label_facets(RP2_FACETS)
+    yield "RP2", chains(rp2)
+    x, s = _cone_over_rp2_morse()
+    inst = morse_check(x, s)
+    yield "cone over RP2", chains(x)
+    yield "Morse pair (cone over RP2, apex)", relative_chains(x, inst.subcomplex)
+    for link in inst.links.values():
+        yield "Morse link", chains(link)
+    rng = random.Random(2011)
+    for i in range(12):
+        x, s = random_morse_instance(rng)
+        inst = morse_check(x, s)
+        yield f"random Morse {i}", chains(x)
+        yield f"random Morse pair {i}", relative_chains(x, inst.subcomplex)
+
+
+def test_clearing_matches_uncleared_divisors_on_every_complex_class():
+    dropped = {name: _assert_clearing_exact(c) for name, c in _complex_classes()}
+    # clearing had nonzero rows to drop in each of the large classes
+    for name in ["tits(3,3)", "common_basis_complex(3,2)", "higher_tits(2,0,3,2)", "join",
+                 "relative_chains(common basis complex, tits)", "d_model(2,0,2,2)",
+                 "bar_complex(3,2)", "RP2", "Morse pair (cone over RP2, apex)"]:
+        assert dropped[name] > 0, name
+
+
+def test_clearing_keeps_morse_torsion():
+    # H(cone over RP2, RP2) is the reduced homology of RP2 shifted up by one
+    x, s = _cone_over_rp2_morse()
+    inst = morse_check(x, s)
+    assert homology(relative_chains(x, inst.subcomplex)).torsion(2) == (2,)
+
+
+def _chain_pair(d1, b2, ops):
+    """Boundaries d_1 = [D1 | 0] U^-1 (k x m) and d_2 = U [0 ; B2] (m x q),
+    with U the product of the elementary row operations ``ops`` on Z^m,
+    so that d_1 d_2 = 0 and the divisors are those of D1 and of B2."""
+    k, r = len(d1), len(d1[0])
+    s, q = len(b2), len(b2[0])
+    m = r + s
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    u_inv = [row[:] for row in u]
+    for i, j, f in ops:
+        i, j = i % m, j % m
+        if i == j or not f:
+            continue
+        u[i] = [a + f * b for a, b in zip(u[i], u[j])]  # U <- E U
+        for row in u_inv:  # U^-1 <- U^-1 E^-1
+            row[j] -= f * row[i]
+    lower = [[sum(d1[a][t] * u_inv[t][c] for t in range(r)) for c in range(m)] for a in range(k)]
+    upper = [[sum(u[a][r + t] * b2[t][c] for t in range(s)) for c in range(q)] for a in range(m)]
+    sizes = {0: k, 1: m, 2: q}
+    boundaries = {
+        1: {(a, c): v for a, row in enumerate(lower) for c, v in enumerate(row) if v},
+        2: {(a, c): v for a, row in enumerate(upper) for c, v in enumerate(row) if v},
+    }
+    return sizes, boundaries
+
+
+def _dense_divisors(rows):
+    return _snf_dense(rows, len(rows[0]))[0]
+
+
+def _check_pair(d1, b2, ops) -> bool:
+    """Clearing is exact on the pair; returns whether the lower boundary's
+    residual went through the dense fallback."""
+    sizes, boundaries = _chain_pair(d1, b2, ops)
+    c = ChainComplex(sizes, boundaries)
+    full_lower = snf_divisors(boundaries[1], sizes[0], sizes[1]) if boundaries[1] else []
+    full_upper = snf_divisors(boundaries[2], sizes[1], sizes[2]) if boundaries[2] else []
+    assert c.boundary_divisors(1) == full_lower == _dense_divisors(d1)
+    assert c.boundary_divisors(2) == full_upper == _dense_divisors(b2)
+    pivots: list[int] = []
+    if boundaries[1]:
+        snf_divisors(boundaries[1], sizes[0], sizes[1], pivots)
+    return len(pivots) < len(full_lower)
+
+
+def test_clearing_never_uses_dense_fallback_pivots():
+    # d_1 = [[1, 1, 0, 0], [0, 0, 2, 3]]: one unit pivot in row 0, and the
+    # residual [2, 3] has no unit, so it goes to the dense fallback.  The
+    # rows of d_2 at columns 2 and 3 are (3, -2): dropping either one would
+    # turn the divisor 1 into 2 or 3.
+    sizes = {0: 2, 1: 4, 2: 2}
+    lower = {(0, 0): 1, (0, 1): 1, (1, 2): 2, (1, 3): 3}
+    upper = {(0, 0): 1, (1, 0): -1, (2, 1): 3, (3, 1): -2}
+    pivots: list[int] = []
+    assert snf_divisors(lower, 2, 4, pivots) == [1, 1] and len(pivots) == 1
+    c = ChainComplex(sizes, {1: lower, 2: upper})
+    assert c.boundary_divisors(2) == [1, 1]
+    assert c.boundary_divisors(1) == [1, 1]
+    assert homology(c).is_trivial()
+
+
+# small entries, with torsion, for the matrices D1 and B2 of _chain_pair
+_ENTRIES = [0, 0, 1, -1, 2, -2, 3, 4, 6]
+
+
+def test_seeded_chain_pairs_reach_the_dense_fallback():
+    rng = random.Random(2014)
+    dense = 0
+    for _ in range(200):
+        k, r, s, q = (rng.randint(1, 4) for _ in range(4))
+        d1 = [[rng.choice(_ENTRIES) for _ in range(r)] for _ in range(k)]
+        b2 = [[rng.choice(_ENTRIES) for _ in range(q)] for _ in range(s)]
+        ops = [(rng.randrange(r + s), rng.randrange(r + s), rng.choice([-2, -1, 1, 2]))
+               for _ in range(2 * (r + s))]
+        dense += _check_pair(d1, b2, ops)
+    assert dense >= 20
+
+
+_ENTRY = st.sampled_from(_ENTRIES)
+
+
+@st.composite
+def _pairs(draw):
+    k, r, s, q = (draw(st.integers(1, 4)) for _ in range(4))
+    d1 = [[draw(_ENTRY) for _ in range(r)] for _ in range(k)]
+    b2 = [[draw(_ENTRY) for _ in range(q)] for _ in range(s)]
+    ops = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-2, 2)),
+                        max_size=12))
+    return d1, b2, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs())
+def test_clearing_is_exact_on_random_pairs(pair):
+    if _check_pair(*pair):
+        event("lower residual through the dense fallback")
