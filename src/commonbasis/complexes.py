@@ -38,7 +38,6 @@ from .exactlin import (
     ring_from_token,
     span,
     sum_of,
-    zero_module,
 )
 
 
@@ -456,117 +455,29 @@ def splitting_to_st_simplex(parts: Sequence[Submodule]) -> tuple[tuple[Submodule
 
 
 # ---------------------------------------------------------------------------
-# Common-basis membership strategies.
-# ---------------------------------------------------------------------------
-
-
-class AdaptedBasisIndex:
-    """For small F_p^n: every unordered basis together with the family of
-    subspaces spanned by its subsets.  A collection has a common basis iff
-    the intersection of the members' adapted-basis sets is nonempty, which
-    is one bitwise AND per member.  This is the common basis property by
-    definition; the inclusion-exclusion criterion is the default decision
-    procedure and the two are checked against each other in the tests."""
-
-    def __init__(self, n: int, p: int):
-        self.n, self.p = n, p
-        ring = GF(p)
-        vectors = [v for v in _all_vectors(n, p) if any(v)]
-        bases: set[frozenset[tuple[int, ...]]] = set()
-        self._span_masks: dict[Submodule, int] = {}
-        stack = [((), zero_module(ring, n))]
-        ordered_bases: list[tuple[tuple[int, ...], ...]] = []
-        while stack:
-            chosen, spanned = stack.pop()
-            if len(chosen) == n:
-                key = frozenset(chosen)
-                if key not in bases:
-                    bases.add(key)
-                    ordered_bases.append(tuple(sorted(key)))
-                continue
-            for v in vectors:
-                if not (chosen and v <= max(chosen)) and not _member_fast(spanned, v, p):
-                    stack.append((chosen + (v,), span(ring, n, list(spanned.basis) + [v])))
-        ordered_bases.sort()
-        self.bases = ordered_bases
-        from itertools import combinations
-
-        for bi, basis in enumerate(ordered_bases):
-            for r in range(1, n + 1):
-                for subset in combinations(basis, r):
-                    sub = span(ring, n, subset)
-                    self._span_masks[sub] = self._span_masks.get(sub, 0) | (1 << bi)
-
-    def has_common_basis(self, members: Iterable[Submodule]) -> bool:
-        mask = (1 << len(self.bases)) - 1
-        for m in members:
-            if m.is_zero:
-                continue
-            mask &= self._span_masks.get(m, 0)
-            if not mask:
-                return False
-        return True
-
-
-def _all_vectors(n: int, p: int) -> list[tuple[int, ...]]:
-    from itertools import product
-
-    return [tuple(v) for v in product(range(p), repeat=n)]
-
-
-def _member_fast(sub: Submodule, vector: tuple[int, ...], p: int) -> bool:
-    v = list(vector)
-    for row in sub.basis:
-        c = next(j for j, x in enumerate(row) if x)
-        if v[c]:
-            f = v[c]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return not any(v)
-
-
-_ADAPTED_CACHE: dict[tuple[int, int], AdaptedBasisIndex] = {}
-
-
-def adapted_basis_index(n: int, p: int) -> AdaptedBasisIndex:
-    if (n, p) not in _ADAPTED_CACHE:
-        _ADAPTED_CACHE[(n, p)] = AdaptedBasisIndex(n, p)
-    return _ADAPTED_CACHE[(n, p)]
-
-
-def _membership_test(ring: Ring, n: int, sigma_members: tuple[Submodule, ...], decision: str):
-    if decision == "ie":
-        def test(members: Iterable[Submodule]) -> bool:
-            mems = tuple(dict.fromkeys(list(members) + list(sigma_members)))
-            return has_cbp_ie(Collection(ring, n, mems, trusted=True))
-    elif decision == "bases":
-        index = adapted_basis_index(n, ring.p)
-
-        def test(members: Iterable[Submodule]) -> bool:
-            return index.has_common_basis(tuple(members) + sigma_members)
-    else:
-        raise ComplexError(f"unknown decision procedure {decision!r}")
-    return test
-
-
-# ---------------------------------------------------------------------------
 # Common basis complex and higher buildings.
 # ---------------------------------------------------------------------------
 
 
-def common_basis_complex(n: int, p: int, decision: str = "ie",
-                         max_vertices: int = DEFAULT_MAX_VERTICES,
+def _membership_test(ring: Ring, n: int, sigma_members: tuple[Submodule, ...]):
+    def test(members: Iterable[Submodule]) -> bool:
+        mems = tuple(dict.fromkeys(list(members) + list(sigma_members)))
+        return has_cbp_ie(Collection(ring, n, mems, trusted=True))
+    return test
+
+
+def common_basis_complex(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICES,
                          max_simplices: int = DEFAULT_MAX_SIMPLICES,
                          max_dim: int | None = None) -> SimplicialComplex:
     """Vertices are the proper nonzero subspaces of F_p^n; a vertex set
     spans a simplex iff it has a common basis (decided by the
-    inclusion-exclusion criterion, or by the adapted-basis index when
-    ``decision='bases'``)."""
+    inclusion-exclusion criterion)."""
     ring = GF(p)
     subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
     if len(subs) > max_vertices:
         raise CapExceeded(f"{len(subs)} vertices exceeds the cap {max_vertices}")
     labels = sorted(subs, key=label_key)
-    test = _membership_test(ring, n, (), decision)
+    test = _membership_test(ring, n, ())
 
     def edge(i: int, j: int) -> bool:
         return test([labels[i], labels[j]])
@@ -581,7 +492,6 @@ def common_basis_complex(n: int, p: int, decision: str = "ie",
 
 
 def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
-                decision: str = "ie",
                 max_vertices: int = DEFAULT_MAX_VERTICES,
                 max_simplices: int = DEFAULT_MAX_SIMPLICES,
                 max_dim: int | None = None) -> SimplicialComplex:
@@ -615,7 +525,7 @@ def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
         labels.extend(((slot, pq) if tagged else pq) for pq in sorted(pairs, key=label_key))
     if len(labels) > max_vertices:
         raise CapExceeded(f"{len(labels)} vertices exceeds the cap {max_vertices}")
-    test = _membership_test(ring, n, sigma_members, decision)
+    test = _membership_test(ring, n, sigma_members)
     members_of = [label_members(lbl) for lbl in labels]
 
     def _slot_payload(i: int):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from commonbasis import cbp
+from commonbasis import cbp, complexes
 from commonbasis.cbp import collection
 from commonbasis.complexes import (
     from_label_facets,
@@ -27,6 +27,7 @@ from commonbasis.complexes import (
 )
 from commonbasis.exactlin import GF, ZZ, all_subspaces, ambient_module, span
 from commonbasis.homology import chains, homology
+from helpers import brute_force_cbp
 
 
 def test_tits_counts():
@@ -167,11 +168,16 @@ def test_membership_query_over_Z():
     assert is_simplex_over_Z(axes)
 
 
-def test_decision_strategies_agree():
-    for n, p in [(2, 2), (3, 2), (2, 3)]:
-        assert common_basis_complex(n, p, decision="ie") == common_basis_complex(n, p, decision="bases")
-    for args in [(2, 0, 2, 2), (1, 1, 2, 2), (2, 0, 3, 2)]:
-        assert higher_tits(*args, decision="ie") == higher_tits(*args, decision="bases")
+def test_decision_strategies_agree(monkeypatch):
+    # the complexes cut out by has_cbp_ie equal those cut out by the
+    # brute-force oracle, which searches every basis of F_p^n
+    instances = [(common_basis_complex, (n, p)) for n, p in [(2, 2), (3, 2), (2, 3)]]
+    instances += [(higher_tits, args) for args in [(2, 0, 2, 2), (1, 1, 2, 2), (2, 0, 3, 2)]]
+    built = [build(*args) for build, args in instances]
+    monkeypatch.setattr(complexes, "has_cbp_ie",
+                        lambda col: brute_force_cbp(col.members, col.ambient, col.ring.p))
+    for (build, args), k in zip(instances, built, strict=True):
+        assert build(*args) == k
 
 
 def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
@@ -286,7 +292,7 @@ def test_stabilization_tower_rank_three():
     t3 = homology(chains(higher_tits(3, 0, 3, 2)))
     for d in range(-1, 4):
         assert t3.betti(d) == cb.betti(d) and t3.torsion(d) == cb.torsion(d)
-    k4 = higher_tits(4, 0, 3, 2, decision="bases")
+    k4 = higher_tits(4, 0, 3, 2)
     prof = homology(chains(k4), up_to_degree=3)
     for d in range(-1, 4):
         assert prof.betti(d) == cb.betti(d) and prof.torsion(d) == cb.torsion(d)
