@@ -132,21 +132,6 @@ class Matrix:
         data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
         return Matrix(self.ring, self.cols, self.rows, data)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if other.ring != self.ring or self.cols != other.rows:
-            raise AmbientMismatch("cannot multiply")
-        red = self.ring.reduce
-        data = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            data.append(
-                tuple(
-                    red(sum(row[k] * other.entries[k][j] for k in range(self.cols)))
-                    for j in range(other.cols)
-                )
-            )
-        return Matrix(self.ring, self.rows, other.cols, tuple(data))
-
 
 # ---------------------------------------------------------------------------
 # Row reduction primitives.  These work on plain lists of lists of ints and
@@ -155,7 +140,10 @@ class Matrix:
 
 
 def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form mod p of the first ``ncols`` columns.  Row
+    operations act on whole rows, so columns past ``ncols`` record them.
+    Returns all rows, the nonzero echelon rows first, and the pivot
+    columns."""
     mat = [[x % p for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -172,13 +160,16 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[in
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-    return mat[:r], pivots
+    return mat, pivots
 
 
 def _hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Row-style Hermite normal form: echelon shape, positive pivots, the
-    entries above each pivot reduced into [0, pivot).  Returns the nonzero
-    rows together with the pivot columns."""
+    """Row-style Hermite normal form of the first ``ncols`` columns: echelon
+    shape, positive pivots, the entries above each pivot reduced into
+    [0, pivot).  Row operations act on whole rows, so columns past ``ncols``
+    record them: run on ``[M | I]`` the right block is a unimodular T with
+    T @ M the HNF above zero rows.  Returns all rows, the nonzero HNF rows
+    first, and the pivot columns."""
     mat = [list(row) for row in rows]
     pivots: list[int] = []
     r = 0
@@ -207,48 +198,15 @@ def _hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-    return mat[:r], pivots
+    return mat, pivots
 
 
-def _hnf_with_transform(
-    rows: list[list[int]], ncols: int
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """HNF together with a unimodular T such that T @ M has the HNF in its
-    first ``rank`` rows and zero rows below.  Returns (full transformed
-    matrix, T, rank)."""
-    m = len(rows)
-    mat = [list(row) for row in rows]
-    t = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(ncols):
-        live = [i for i in range(r, m) if mat[i][c]]
-        if not live:
-            continue
-        while True:
-            live = [i for i in range(r, m) if mat[i][c]]
-            if len(live) == 1:
-                i = live[0]
-                mat[r], mat[i] = mat[i], mat[r]
-                t[r], t[i] = t[i], t[r]
-                break
-            i = min(live, key=lambda k: abs(mat[k][c]))
-            mat[r], mat[i] = mat[i], mat[r]
-            t[r], t[i] = t[i], t[r]
-            for i in range(r + 1, m):
-                if mat[i][c]:
-                    q = mat[i][c] // mat[r][c]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    t[i] = [a - q * b for a, b in zip(t[i], t[r])]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-            t[r] = [-x for x in t[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                t[i] = [a - q * b for a, b in zip(t[i], t[r])]
-        r += 1
-    return mat, t, r
+def _echelon(ring: Ring, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The canonical echelon form of the first ``ncols`` columns: RREF over a
+    prime field, row HNF over the integers."""
+    if ring.is_field:
+        return _rref_mod_p(rows, ncols, ring.p)
+    return _hnf(rows, ncols)
 
 
 def _snf_dense(
@@ -401,11 +359,8 @@ def canonicalize(generators: Matrix) -> Submodule:
     """The submodule generated by the rows of ``generators``, in canonical
     form.  Idempotent: canonicalizing the basis of the result returns the
     same object."""
-    if generators.ring.is_field:
-        rows, _ = _rref_mod_p(generators.row_list(), generators.cols, generators.ring.p)
-    else:
-        rows, _ = _hnf(generators.row_list(), generators.cols)
-    return Submodule(generators.ring, generators.cols, tuple(tuple(r) for r in rows))
+    rows, pivots = _echelon(generators.ring, generators.row_list(), generators.cols)
+    return Submodule(generators.ring, generators.cols, tuple(tuple(r) for r in rows[:len(pivots)]))
 
 
 def span(ring: Ring, ambient: int, rows: Iterable[Sequence[int]]) -> Submodule:
@@ -460,30 +415,9 @@ def sum_of(modules: Iterable[Submodule], ring: Ring, ambient: int) -> Submodule:
 def left_kernel(m: Matrix) -> Matrix:
     """A basis (as rows) of ``{x : x @ m == 0}``.  Over the integers the
     kernel of an integer matrix is automatically saturated."""
-    if m.ring.is_field:
-        return Matrix.from_rows(m.ring, _kernel_aug_mod_p(m, m.ring.p), m.rows)
-    full, t, rank = _hnf_with_transform(m.row_list(), m.cols)
-    return Matrix.from_rows(m.ring, t[rank:], m.rows)
-
-
-def _kernel_aug_mod_p(m: Matrix, p: int) -> list[list[int]]:
-    nrows = m.rows
-    aug = [list(m.entries[i]) + [1 if j == i else 0 for j in range(nrows)] for i in range(nrows)]
-    # Eliminate on the first m.cols columns only.
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] % p), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return [row[m.cols:] for row in aug[r:]]
+    aug = [list(row) + [1 if j == i else 0 for j in range(m.rows)] for i, row in enumerate(m.entries)]
+    full, pivots = _echelon(m.ring, aug, m.cols)
+    return Matrix.from_rows(m.ring, [row[m.cols:] for row in full[len(pivots):]], m.rows)
 
 
 def intersect(u: Submodule, w: Submodule) -> Submodule:
@@ -507,23 +441,7 @@ def intersect(u: Submodule, w: Submodule) -> Submodule:
 
 def member(u: Submodule, vector: Sequence[int]) -> bool:
     """Exact membership of a vector in ``u``."""
-    v = [u.ring.reduce(x) for x in vector]
-    if u.ring.is_field:
-        p = u.ring.p
-        for row in u.basis:
-            c = next(j for j, x in enumerate(row) if x)
-            if v[c]:
-                f = v[c]
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        return not any(v)
-    for row in u.basis:
-        c = next(j for j, x in enumerate(row) if x)
-        if v[c] % row[c]:
-            return False
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+    return coordinates_in(u, vector) is not None
 
 
 def contains(u: Submodule, w: Submodule) -> bool:
@@ -592,11 +510,8 @@ def is_unimodular(m: Matrix) -> bool:
     """Whether a square matrix is invertible over its ring."""
     if m.rows != m.cols:
         return False
-    if m.ring.is_field:
-        red, _ = _rref_mod_p(m.row_list(), m.cols, m.ring.p)
-        return len(red) == m.cols
-    full, _, r = _hnf_with_transform(m.row_list(), m.cols)
-    if r != m.cols:
+    full, pivots = _echelon(m.ring, m.row_list(), m.cols)
+    if len(pivots) != m.cols:
         return False
     return all(full[i][i] == 1 for i in range(m.cols)) and all(
         full[i][j] == 0 for i in range(m.cols) for j in range(m.cols) if i != j

@@ -30,7 +30,7 @@ from .exactlin import (
     ZZ,
     Matrix,
     Submodule,
-    _hnf_with_transform,
+    _hnf,
     coordinates_in,
     left_kernel,
 )
@@ -116,11 +116,11 @@ class _RowSolver:
     def __init__(self, rows: Sequence[Sequence[int]], width: int):
         self.width = width
         self.rows = [tuple(r) for r in rows]
-        full, t, rank = _hnf_with_transform([list(r) for r in rows], width)
-        self.h = [row for row in full[:rank]]
-        self.t = t[:rank]
-        self.rank = rank
-        self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.h]
+        aug = [list(r) + [1 if j == i else 0 for j in range(len(rows))] for i, r in enumerate(rows)]
+        full, self.pivots = _hnf(aug, width)
+        self.rank = len(self.pivots)
+        self.h = [row[:width] for row in full[:self.rank]]
+        self.t = [row[width:] for row in full[:self.rank]]
 
     def solve(self, target: Sequence[int]) -> list[int] | None:
         v = list(target)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -67,8 +68,9 @@ def test_canonicalize_idempotent_and_row_invariant():
         assert span(ZZ, n, sub.basis) == sub
         t = random_unimodular(rng, max(len(rows), 1))
         if rows:
-            mixed = t.mul(Matrix.from_rows(ZZ, rows, n))
-            assert canonicalize(mixed) == sub
+            mixed = [[sum(a * b for a, b in zip(trow, col)) for col in zip(*rows)]
+                     for trow in t.entries]
+            assert canonicalize(Matrix.from_rows(ZZ, mixed, n)) == sub
     for _ in range(200):
         n, p = rng.randint(1, 4), rng.choice([2, 3, 5])
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n))]
@@ -290,3 +292,127 @@ def test_membership_closed_under_combinations(seed, rows):
         vec = [sum(c * row[j] for c, row in zip(coeffs, sub.basis)) for j in range(3)]
         assert member(sub, vec)
         assert coordinates_in(sub, vec) is not None
+
+
+# ---------------------------------------------------------------------------
+# Properties of the eliminators behind canonicalize, left_kernel and
+# is_unimodular, over Z (p = 0) and F_p, refereed by Fraction elimination.
+# ---------------------------------------------------------------------------
+
+
+def _rank(rows: list[list[int]], ncols: int, p: int) -> int:
+    """Rank over Q (p = 0, Fraction arithmetic) or over F_p, by plain
+    Gaussian elimination."""
+    mat = [[Fraction(x) if p == 0 else x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[rank], mat[pr] = mat[pr], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            if p == 0:
+                f = mat[i][c] / mat[rank][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+            else:
+                f = mat[i][c] * pow(mat[rank][c], p - 2, p)
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Fraction elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        pr = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return int(det)
+
+
+def _ring(p: int) -> Ring:
+    return ZZ if p == 0 else GF(p)
+
+
+@st.composite
+def _matrices(draw, square: bool = False):
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(0, 2 * n))
+    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return p, n, rows
+
+
+@st.composite
+def _row_mixings(draw, m: int):
+    """Elementary row operations (i, j, c): row i += c * row j, i != j."""
+    ops = draw(st.lists(st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(m - 1, 0)),
+                                  st.integers(-3, 3)), max_size=8))
+    return [(i, j, c) for i, j, c in ops if i != j]
+
+
+def _mix(rows: list[list[int]], ops) -> list[list[int]]:
+    rows = [list(r) for r in rows]
+    for i, j, c in ops:
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_left_kernel_rows_annihilate_and_count(case):
+    p, n, rows = case
+    ring = _ring(p)
+    mat = Matrix.from_rows(ring, rows, n)
+    ker = left_kernel(mat)
+    assert ker.cols == len(rows)
+    for x in ker.entries:
+        prod = [sum(x[i] * mat.entries[i][j] for i in range(len(rows))) for j in range(n)]
+        assert all(ring.reduce(v) == 0 for v in prod)
+    assert ker.rows == len(rows) - _rank(rows, n, p)
+    assert _rank([list(r) for r in ker.entries], len(rows), p) == ker.rows
+    if p == 0 and ker.rows:
+        assert set(snf(ker)) == {1}  # saturated: Z^m / ker is torsion-free
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.data())
+def test_canonicalize_is_idempotent_and_row_mixing_invariant(case, data):
+    p, n, rows = case
+    ring = _ring(p)
+    sub = canonicalize(Matrix.from_rows(ring, rows, n))
+    assert canonicalize(sub.basis_matrix()) == sub
+    assert sub.rank == _rank(rows, n, p)
+    mixed = _mix(rows, data.draw(_row_mixings(len(rows))))
+    assert canonicalize(Matrix.from_rows(ring, mixed, n)) == sub
+
+
+@st.composite
+def _square_near_unimodular(draw):
+    """A square matrix of known determinant d: diag(1, .., 1, d) mixed by
+    elementary row operations."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    d = draw(st.sampled_from([-2, -1, 1, 2, 3, 5]))
+    rows = [[(d if i == n - 1 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return p, n, _mix(rows, draw(_row_mixings(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_matrices(square=True), _square_near_unimodular()))
+def test_is_unimodular_agrees_with_the_determinant(case):
+    p, n, rows = case
+    ring = _ring(p)
+    det = _det(rows)
+    expected = abs(det) == 1 if p == 0 else det % p != 0
+    assert is_unimodular(Matrix.from_rows(ring, rows, n)) == expected
