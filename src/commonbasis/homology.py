@@ -7,9 +7,7 @@ suspensions shift homology uniformly.
 
 All homology is computed over the integers (betti numbers and torsion
 coefficients), never through a field shortcut: torsion in any of the groups
-this package verifies would be a finding, not an inconvenience.  A mod-p
-rank routine is provided for betti-only experiments but nothing in the
-verification paths uses it.
+this package verifies would be a finding, not an inconvenience.
 
 The Smith normal form engine eliminates unit pivots chosen by a minimal
 fill-in (Markowitz) heuristic with deterministic tie-breaking, then hands
@@ -155,48 +153,6 @@ def _normalize_chain(values: list[int]) -> list[int]:
                     changed = True
         ds.sort()
     return ds
-
-
-def rank_mod_p(entries: dict[tuple[int, int], int], p: int) -> int:
-    """Rank of a sparse integer matrix over F_p.  A betti-only fast path;
-    never a substitute for the integer computation when torsion matters."""
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-    rank = 0
-    while rows:
-        r, c = min(
-            ((r, c) for r, row in rows.items() for c in row),
-            key=lambda rc: ((len(rows[rc[0]]) - 1) * (len(cols[rc[1]]) - 1), rc),
-        )
-        inv = pow(rows[r][c], p - 2, p)
-        for r2 in sorted(cols[c] - {r}):
-            f = (rows[r2][c] * inv) % p
-            target = rows[r2]
-            for c2, v in rows[r].items():
-                new = (target.get(c2, 0) - f * v) % p
-                if new:
-                    if c2 not in target:
-                        cols[c2].add(r2)
-                    target[c2] = new
-                elif c2 in target:
-                    del target[c2]
-                    cols[c2].discard(r2)
-                    if not cols[c2]:
-                        del cols[c2]
-            if not target:
-                del rows[r2]
-        for c2 in rows[r]:
-            cols[c2].discard(r)
-            if not cols[c2]:
-                del cols[c2]
-        del rows[r]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +337,35 @@ def homology(c: ChainComplex, up_to_degree: int | None = None) -> HomologyProfil
     return HomologyProfile.from_dict(data)
 
 
+def _simplicial_chains(index: dict[int, dict[tuple[int, ...], int]]) -> ChainComplex:
+    """The chain complex on the simplices of ``index`` (degree -> simplex ->
+    basis position) with the standard alternating-sign boundary.  Faces not
+    indexed one degree down are dropped: they lie in the subcomplex of a
+    quotient, or below degree 0 when there is no augmentation."""
+    boundaries: dict[int, dict[tuple[int, int], int]] = {}
+    for d, simps in index.items():
+        lower = index.get(d - 1)
+        if lower is None:
+            continue
+        entries: dict[tuple[int, int], int] = {}
+        for s, j in simps.items():
+            for i in range(len(s)):
+                r = lower.get(s[:i] + s[i + 1 :])
+                if r is not None:
+                    entries[(r, j)] = (-1) ** i
+        boundaries[d] = entries
+    return ChainComplex({d: len(simps) for d, simps in index.items()}, boundaries)
+
+
 def chains(complex_) -> ChainComplex:
     """The reduced (augmented) simplicial chain complex of an abstract
     simplicial complex, with the standard alternating-sign boundary taken in
     the complex's deterministic vertex order.  Degree -1 is the empty
     simplex; the empty complex has only that degree."""
-    by_dim = complex_.simplices_by_dim()
-    sizes = {-1: 1}
-    index: dict[int, dict[tuple[int, ...], int]] = {}
-    for d, simps in by_dim.items():
-        ordered = sorted(simps)
-        sizes[d] = len(ordered)
-        index[d] = {s: i for i, s in enumerate(ordered)}
-    boundaries: dict[int, dict[tuple[int, int], int]] = {}
-    for d, simps in index.items():
-        entries: dict[tuple[int, int], int] = {}
-        if d == 0:
-            for s, j in simps.items():
-                entries[(0, j)] = 1
-        else:
-            lower = index[d - 1]
-            for s, j in simps.items():
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    entries[(lower[face], j)] = (-1) ** i
-        boundaries[d] = entries
-    return ChainComplex(sizes, boundaries)
+    index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
+    for d, simps in complex_.simplices_by_dim().items():
+        index[d] = {s: i for i, s in enumerate(simps)}
+    return _simplicial_chains(index)
 
 
 def relative_chains(x, y) -> ChainComplex:
@@ -422,28 +381,12 @@ def relative_chains(x, y) -> ChainComplex:
             tuple(sorted(x.index_of(lbl) for lbl in y.label_simplex(s)))
             for s in y.simplex_set()
         }
-    by_dim = x.simplices_by_dim()
-    sizes: dict[int, int] = {}
     index: dict[int, dict[tuple[int, ...], int]] = {}
-    for d, simps in by_dim.items():
-        ordered = sorted(s for s in simps if s not in y_simplices)
-        if ordered:
-            sizes[d] = len(ordered)
-            index[d] = {s: i for i, s in enumerate(ordered)}
-    boundaries: dict[int, dict[tuple[int, int], int]] = {}
-    for d, simps in index.items():
-        if d == 0 or d - 1 not in index:
-            continue
-        lower = index[d - 1]
-        entries: dict[tuple[int, int], int] = {}
-        for s, j in simps.items():
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                if face in lower:
-                    entries[(lower[face], j)] = (-1) ** i
-        if entries:
-            boundaries[d] = entries
-    return ChainComplex(sizes, boundaries)
+    for d, simps in x.simplices_by_dim().items():
+        kept = [s for s in simps if s not in y_simplices]
+        if kept:
+            index[d] = {s: i for i, s in enumerate(kept)}
+    return _simplicial_chains(index)
 
 
 def relative_homology(x, y) -> HomologyProfile:

@@ -23,7 +23,6 @@ from commonbasis.homology import (
     chains,
     homology,
     is_c_connected_homologically,
-    rank_mod_p,
     relative_chains,
     relative_homology,
     snf_divisors,
@@ -142,24 +141,6 @@ def test_sparse_snf_recovers_planted_divisors():
                 if val:
                     entries[(i, j)] = val
         assert snf_divisors(entries, m, n) == planted
-
-
-def test_rank_mod_p_matches_integer_rank_generically():
-    rng = random.Random(67)
-    for _ in range(100):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        entries = {
-            (r, c): rng.randint(-3, 3)
-            for r in range(m)
-            for c in range(n)
-            if rng.random() < 0.5
-        }
-        entries = {k: v for k, v in entries.items() if v}
-        divisors = snf_divisors(dict(entries), m, n)
-        r_int = len(divisors)
-        # over a prime not dividing any divisor the ranks agree
-        big = 10007
-        assert rank_mod_p(dict(entries), big) == r_int
 
 
 def test_kunneth_for_joins_of_buildings():
