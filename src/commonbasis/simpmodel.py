@@ -665,20 +665,6 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
                     out.append((dec, tuple(e for e, _ in choice)))
         return out
 
-    def combine_bar(dec, elts) -> ModelSimplex:
-        factors_out = []
-        for f in range(factors):
-            cols = [e[f] for e in elts]
-            length = len(cols[0])
-            combined = []
-            for r in range(length):
-                rows: list[tuple[int, ...]] = []
-                for colsimp in cols:
-                    rows.extend(colsimp[r].basis)
-                combined.append(span(ring, n, rows))
-            factors_out.append(tuple(combined))
-        return tuple(factors_out)
-
     def rhs_elements(p_int: int, q: int):
         out = []
         decs = ordered_decompositions(n, p, q)
@@ -700,7 +686,7 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
             rhs = rhs_elements(p_int, q)
             mapped = {}
             for dec, elts in lhs:
-                image = (combine_bar(dec, elts), dec)
+                image = (_combine_bar(elts, ring, n, factors), dec)
                 if image in mapped:
                     ok = False
                 mapped[image] = (dec, elts)
@@ -725,7 +711,7 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
                 for i in range(p_int + 1):
                     lf = _internal_face(elts, dec, i, a, factors)
                     rf = base.face(image, i)
-                    image_of_lf = None if lf is None else combine_bar(dec, lf)
+                    image_of_lf = None if lf is None else _combine_bar(lf, ring, n, factors)
                     if image_of_lf != rf:
                         ok = False
                     faces_checked += 1
@@ -740,29 +726,32 @@ def _spread_model_simplex(core: ModelSimplex, positions: tuple[int, ...], degree
     return _apply_degens(core, missing, a, factors, zero)
 
 
+def _combine_bar(elts, ring: Ring, n: int, factors: int) -> ModelSimplex:
+    """Multiply the elements carried by the bar slots: factorwise and
+    entrywise internal sums of their constituents."""
+    factors_out = []
+    for f in range(factors):
+        cols = [e[f] for e in elts]
+        length = len(cols[0])
+        combined = []
+        for r in range(length):
+            rows: list[tuple[int, ...]] = []
+            for colsimp in cols:
+                rows.extend(colsimp[r].basis)
+            combined.append(span(ring, n, rows))
+        factors_out.append(tuple(combined))
+    return tuple(factors_out)
+
+
 def _bar_face(dec, elts, j: int, ring: Ring, n: int, factors: int):
     """Inner bar face: merge decomposition parts j-1, j (0-based tuple) and
     multiply the corresponding elements by the factorwise internal sum."""
     merged_part = dec[j - 1] + dec[j]
     new_dec = dec[: j - 1] + (merged_part,) + dec[j + 1:]
-    x, y = elts[j - 1], elts[j]
-    combined = []
-    for f in range(factors):
-        combined.append(tuple(span(ring, n, list(xe.basis) + list(ye.basis)) for xe, ye in zip(x[f], y[f])))
-    new_elts = elts[: j - 1] + (tuple(combined),) + elts[j + 1:]
+    merged = _combine_bar(elts[j - 1: j + 1], ring, n, factors)
+    new_elts = elts[: j - 1] + (merged,) + elts[j + 1:]
     # Recombine the whole tuple to the image side.
-    factors_out = []
-    for f in range(factors):
-        cols = [e[f] for e in new_elts]
-        length = len(cols[0])
-        merged = []
-        for r in range(length):
-            rows: list[tuple[int, ...]] = []
-            for colsimp in cols:
-                rows.extend(colsimp[r].basis)
-            merged.append(span(ring, n, rows))
-        factors_out.append(tuple(merged))
-    return (tuple(factors_out), new_dec)
+    return (_combine_bar(new_elts, ring, n, factors), new_dec)
 
 
 def _internal_face(elts, dec, i: int, a: int, factors: int):
