@@ -28,6 +28,7 @@ and the model with one more splitting factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -206,28 +207,26 @@ def _constituents(simplex: ModelSimplex, a: int, factors: int) -> tuple[Submodul
 # ---------------------------------------------------------------------------
 
 
-_L_CORE_CACHE: dict[tuple[int, int], list[tuple[Submodule, ...]]] = {}
-_SL_CORE_CACHE: dict[tuple[int, int], list[tuple[Submodule, ...]]] = {}
+# Distinct (n, p) keys of the core tables: 5 over the test suite, 3 over tor(3, 2).
+_CORE_CACHE_SIZE = 16
 
 
-def _l_cores(n: int, p: int) -> list[tuple[Submodule, ...]]:
+@lru_cache(maxsize=_CORE_CACHE_SIZE)
+def _l_cores(n: int, p: int) -> tuple[tuple[Submodule, ...], ...]:
     """Strict chains of proper nonzero subspaces (the intermediate values of
     a pinned flag); the empty chain is the direct jump."""
-    if (n, p) not in _L_CORE_CACHE:
-        subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
-        order = {s: i for i, s in enumerate(subs)}
-        chains_out: list[tuple[Submodule, ...]] = [()]
-        stack: list[tuple[Submodule, ...]] = [(s,) for s in subs]
-        while stack:
-            chain = stack.pop()
-            chains_out.append(chain)
-            top = chain[-1]
-            for s in subs:
-                if s.rank > top.rank and top <= s:
-                    stack.append(chain + (s,))
-        chains_out.sort(key=lambda ch: (len(ch), tuple(s.sort_key() for s in ch)))
-        _L_CORE_CACHE[(n, p)] = chains_out
-    return _L_CORE_CACHE[(n, p)]
+    subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
+    chains_out: list[tuple[Submodule, ...]] = [()]
+    stack: list[tuple[Submodule, ...]] = [(s,) for s in subs]
+    while stack:
+        chain = stack.pop()
+        chains_out.append(chain)
+        top = chain[-1]
+        for s in subs:
+            if s.rank > top.rank and top <= s:
+                stack.append(chain + (s,))
+    chains_out.sort(key=lambda ch: (len(ch), tuple(s.sort_key() for s in ch)))
+    return tuple(chains_out)
 
 
 def ordered_decompositions(n: int, p: int, length: int, within: Submodule | None = None) -> list[tuple[Submodule, ...]]:
@@ -257,14 +256,13 @@ def ordered_decompositions(n: int, p: int, length: int, within: Submodule | None
     return out
 
 
-def _sl_cores(n: int, p: int) -> list[tuple[Submodule, ...]]:
-    if (n, p) not in _SL_CORE_CACHE:
-        cores: list[tuple[Submodule, ...]] = []
-        for s in range(1, n + 1):
-            cores.extend(ordered_decompositions(n, p, s))
-        cores.sort(key=lambda ch: (len(ch), tuple(s.sort_key() for s in ch)))
-        _SL_CORE_CACHE[(n, p)] = cores
-    return _SL_CORE_CACHE[(n, p)]
+@lru_cache(maxsize=_CORE_CACHE_SIZE)
+def _sl_cores(n: int, p: int) -> tuple[tuple[Submodule, ...], ...]:
+    cores: list[tuple[Submodule, ...]] = []
+    for s in range(1, n + 1):
+        cores.extend(ordered_decompositions(n, p, s))
+    cores.sort(key=lambda ch: (len(ch), tuple(s.sort_key() for s in ch)))
+    return tuple(cores)
 
 
 def _spread_flag(core: tuple[Submodule, ...], positions: tuple[int, ...], degree: int,

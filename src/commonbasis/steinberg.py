@@ -22,6 +22,7 @@ Any disagreement or any torsion is an error, never coerced away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .complexes import join, tits
@@ -211,43 +212,43 @@ def st_module(n: int, p: int) -> SteinbergModule:
 
 
 _MODEL_CACHE: dict[int, dict[int, SemiSimplicialModel]] = {}
-_BLOCK_PRODUCT_CACHE: dict[tuple[int, int, int], dict] = {}
-_TRANSPORT_CACHE: dict = {}
+# Distinct keys counted over the test suite (and over tor(3, 2) alone): 4 (3)
+# block products and 72 (60) transport permutations.
+_BLOCK_PRODUCT_CACHE_SIZE = 16
+_TRANSPORT_CACHE_SIZE = 1024
 
 
 def _models_for(p: int) -> dict[int, SemiSimplicialModel]:
     return _MODEL_CACHE.setdefault(p, {})
 
 
+@lru_cache(maxsize=_BLOCK_PRODUCT_CACHE_SIZE)
 def _block_product(a: int, b: int, p: int) -> dict[tuple[int, int], list[int]]:
     """For each Steinberg basis pair, the product cycle (as a vector over the
     top simplices of the rank-(a+b) one-factor model) with the two factors in
     standard complementary blocks."""
-    key = (a, b, p)
-    if key not in _BLOCK_PRODUCT_CACHE:
-        models = _models_for(p)
-        chain_map, pair_index, mz = mu_chain(1, 0, a, b, p, models)
-        sa, sb = st_module(a, p), st_module(b, p)
-        out: dict[tuple[int, int], list[int]] = {}
-        d = a + b
-        idx = pair_index[d]
-        size_z = mz.chain_complex().size(d)
-        for i, za in enumerate(sa.cycles):
-            for j, zb in enumerate(sb.cycles):
-                vec: dict[int, int] = {}
-                for xi, xv in enumerate(za):
-                    if not xv:
-                        continue
-                    for yj, yv in enumerate(zb):
-                        if yv:
-                            vec[idx[(a, xi, yj)]] = xv * yv
-                image = chain_map.apply(d, vec)
-                dense = [0] * size_z
-                for r, v in image.items():
-                    dense[r] = v
-                out[(i, j)] = dense
-        _BLOCK_PRODUCT_CACHE[key] = out
-    return _BLOCK_PRODUCT_CACHE[key]
+    models = _models_for(p)
+    chain_map, pair_index, mz = mu_chain(1, 0, a, b, p, models)
+    sa, sb = st_module(a, p), st_module(b, p)
+    out: dict[tuple[int, int], list[int]] = {}
+    d = a + b
+    idx = pair_index[d]
+    size_z = mz.chain_complex().size(d)
+    for i, za in enumerate(sa.cycles):
+        for j, zb in enumerate(sb.cycles):
+            vec: dict[int, int] = {}
+            for xi, xv in enumerate(za):
+                if not xv:
+                    continue
+                for yj, yv in enumerate(zb):
+                    if yv:
+                        vec[idx[(a, xi, yj)]] = xv * yv
+            image = chain_map.apply(d, vec)
+            dense = [0] * size_z
+            for r, v in image.items():
+                dense[r] = v
+            out[(i, j)] = dense
+    return out
 
 
 def block_swap_rows(a: int, b: int) -> tuple[tuple[int, ...], ...]:
@@ -311,17 +312,16 @@ def st_multiply(a_sub: Submodule, x_coeffs: Sequence[int], b_sub: Submodule,
     return (a_sub + b_sub), target.express(out)
 
 
-def _gl_action_on_chain(g_rows, st: SteinbergModule) -> list[int]:
-    key = ("perm", st.n, st.p, tuple(tuple(r) for r in g_rows))
-    if key not in _TRANSPORT_CACHE:
-        model = st.model
-        top = model.simplices.get(st.n, ())
-        index = model.index.get(st.n, {})
-        ring = GF(st.p)
-        _TRANSPORT_CACHE[key] = [
-            index[apply_gl_to_simplex(s, g_rows, ring, st.n)] for s in top
-        ]
-    return _TRANSPORT_CACHE[key]
+@lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
+def _gl_action_on_chain(g_rows: tuple[tuple[int, ...], ...], st: SteinbergModule) -> list[int]:
+    """The permutation of the top simplices of ``st``'s model under the row
+    action of ``g_rows``.  Keyed by the module object, which ``st_module``
+    keeps one of per (n, p)."""
+    model = st.model
+    top = model.simplices.get(st.n, ())
+    index = model.index.get(st.n, {})
+    ring = GF(st.p)
+    return [index[apply_gl_to_simplex(s, g_rows, ring, st.n)] for s in top]
 
 
 # ---------------------------------------------------------------------------
