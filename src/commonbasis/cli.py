@@ -60,7 +60,7 @@ REPORTED_ERRORS = (CapExceeded, SubsetCapExceeded, ClosureCapExceeded, Steinberg
 def _report(config: dict, results: dict, verdicts: list[dict], started: float,
             timing: bool) -> dict:
     report = {
-        "schema": 1,
+        "schema": 2,
         "tool": "commonbasis",
         "version": __version__,
         "config": config,
@@ -305,6 +305,7 @@ def cmd_verify(args) -> int:
         "count": args.count,
         "max_dim": args.max_dim,
         "max_vertices": args.max_vertices,
+        "max_simplices": args.max_simplices,
         "format": args.format,
     }
     results: dict = {}

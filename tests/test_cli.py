@@ -27,7 +27,7 @@ def test_homology_command(capsys):
     code, out = run(capsys, "homology", "--kind", "cb", "--n", "2", "--p", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["results"]["profile"] == {"1": {"betti": 1, "torsion": []}}
     code, out = run(capsys, "homology", "--kind", "tits", "--n", "1", "--p", "2")
     assert json.loads(out)["results"]["profile"] == {"-1": {"betti": 1, "torsion": []}}
@@ -115,6 +115,15 @@ def test_verify_suites_honour_the_caps(capsys):
     report = json.loads(out)
     assert code == 2 and report["error"] == {"type": "ModelError",
                                              "message": "model exceeds 2 simplices"}
+
+
+def test_verify_config_echoes_the_simplex_cap(capsys):
+    args = ["verify", "split-compare", "--a", "1", "--b", "1", "--n", "2", "--p", "3"]
+    _, default = run(capsys, *args)
+    _, capped = run(capsys, *args, "--max-simplices", "100000")
+    assert json.loads(default)["config"]["max_simplices"] == 2_000_000
+    assert json.loads(capped)["config"]["max_simplices"] == 100_000
+    assert default != capped
 
 
 def test_reports_are_byte_exact_and_timing_is_opt_in(capsys):
