@@ -29,7 +29,7 @@ for a, b, n in [(1, 0, 2), (0, 1, 2), (2, 0, 2), (1, 1, 2), (0, 2, 2), (1, 0, 3)
 # The bar construction adds a splitting factor: nondegenerate bisimplices
 # in each bidegree biject with the bigger model's simplices, and the face
 # maps correspond.
-rep = check_bar_model(1, 0, 2, 2, cutoff=3)
+rep = check_bar_model(1, 0, 2, 2)
 print("\nbar bisimplices vs one extra splitting factor over F_2^2:")
 for (internal, bar), (lhs, rhs) in sorted(rep.counts.items()):
     if lhs or rhs:

@@ -252,14 +252,19 @@ def _violations(col: Collection, backend, first_only: bool) -> list[dict]:
     return out
 
 
-# Decisions by (p, ambient, member bases); cleared whole when full, so that a
-# hit costs one lookup.
-_CBP_CACHE: dict = {}
-_CBP_CACHE_MAX = 1 << 15
+class _MemberSet(frozenset):
+    """The member bases of a collection, the memo key of its decision: a
+    set, so every order and repetition of the same members shares one entry.
+    Until decided it carries the collection, so that a miss walks the
+    members in their own order and never rebuilds them from their bases."""
+
+    __slots__ = ("col",)
 
 
-def clear_cbp_cache() -> None:
-    _CBP_CACHE.clear()
+@lru_cache(maxsize=1 << 15)
+def _decide(p: int, ambient: int, bases: _MemberSet) -> bool:
+    col, bases.col = bases.col, None  # the memo keeps the bases only
+    return not _violations(col, _backend(col.ring, ambient), first_only=True)
 
 
 def has_cbp_ie(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> bool:
@@ -272,15 +277,9 @@ def has_cbp_ie(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     is skipped.
     """
     _check_cap(len(col.members), cap)
-    key = (col.ring.p, col.ambient, frozenset(m.basis for m in col.members))
-    hit = _CBP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = not _violations(col, _backend(col.ring, col.ambient), first_only=True)
-    if len(_CBP_CACHE) >= _CBP_CACHE_MAX:
-        _CBP_CACHE.clear()
-    _CBP_CACHE[key] = result
-    return result
+    bases = _MemberSet(m.basis for m in col.members)
+    bases.col = col
+    return _decide(col.ring.p, col.ambient, bases)
 
 
 def ie_violations(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> list[dict]:

@@ -271,8 +271,7 @@ def _suite_split_compare(args, results, verdicts):
 
 
 def _suite_bar_model(args, results, verdicts):
-    rep = check_bar_model(args.a, args.b, args.n, args.p, cutoff=3,
-                          max_simplices=args.max_simplices)
+    rep = check_bar_model(args.a, args.b, args.n, args.p, max_simplices=args.max_simplices)
     results["counts"] = {f"{k[0]},{k[1]}": list(v) for k, v in sorted(rep.counts.items())}
     verdicts.append(
         {"check": f"bar-model-bijection-a{args.a}-b{args.b}-n{args.n}-p{args.p}", "pass": rep.ok}

@@ -66,37 +66,37 @@ DEFAULT_MAX_SIMPLICES = 2_000_000
 # ---------------------------------------------------------------------------
 
 
-def label_key(label):
+def _label_kind(label) -> int:
+    """The one label dispatch: 0 for a Submodule, 1 for a splitting pair,
+    2 for a (slot, label) pair."""
     if isinstance(label, Submodule):
-        return (0, label.sort_key())
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], Submodule):
-        return (1, label[0].sort_key(), label[1].sort_key())
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], int):
-        return (2, label[0]) + (label_key(label[1]),)
+        return 0
+    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], (Submodule, int)):
+        return 1 if isinstance(label[0], Submodule) else 2
     raise ComplexError(f"unknown label {label!r}")
+
+
+def label_key(label):
+    kind = _label_kind(label)
+    if kind == 2:
+        return (2, label[0], label_key(label[1]))
+    return (kind,) + tuple(s.sort_key() for s in label_members(label))
 
 
 def label_members(label) -> list[Submodule]:
     """The submodules a vertex contributes to common-basis tests: the
     submodule itself, both members of a splitting pair, payload of a slot."""
-    if isinstance(label, Submodule):
-        return [label]
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], Submodule):
-        return [label[0], label[1]]
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], int):
-        return label_members(label[1])
-    raise ComplexError(f"unknown label {label!r}")
+    kind = _label_kind(label)
+    return [label] if kind == 0 else list(label) if kind == 1 else label_members(label[1])
 
 
 def dump_label(label) -> str:
-    if isinstance(label, Submodule):
-        flat = " ".join(str(x) for row in label.basis for x in row)
-        return f"sub {label.ring} {label.ambient} {label.rank}" + (f" {flat}" if flat else "")
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], Submodule):
-        return f"pair {dump_label(label[0])[4:]} / {dump_label(label[1])[4:]}"
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], int):
+    kind = _label_kind(label)
+    if kind == 2:
         return f"slot {label[0]} {dump_label(label[1])}"
-    raise ComplexError(f"unknown label {label!r}")
+    return ("sub ", "pair ")[kind] + " / ".join(
+        f"{s.ring} {s.ambient} {s.rank}" + "".join(f" {x}" for row in s.basis for x in row)
+        for s in label_members(label))
 
 
 def _parse_sub_tokens(tokens: list[str]):

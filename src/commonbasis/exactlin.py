@@ -77,7 +77,7 @@ class Ring:
 ZZ = Ring(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def GF(p: int) -> Ring:
     ring = Ring(p)
     if not ring.is_field:

@@ -155,6 +155,20 @@ def _normalize_chain(values: list[int]) -> list[int]:
     return ds
 
 
+def _compose(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The nonzero entries of the sparse product ``a @ b``; every entry is
+    summed in full."""
+    a_cols: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), v in a.items():
+        a_cols.setdefault(c, []).append((r, v))
+    out: dict[tuple[int, int], int] = {}
+    for (k, j), v in b.items():
+        for r, w in a_cols.get(k, ()):
+            key = (r, j)
+            out[key] = out.get(key, 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # Chain complexes and homology profiles.
 # ---------------------------------------------------------------------------
@@ -190,17 +204,7 @@ class ChainComplex:
     def _check_dd_zero(self) -> None:
         for d, upper in self.boundaries.items():
             lower = self.boundaries.get(d - 1)
-            if not lower:
-                continue
-            lower_cols: dict[int, list[tuple[int, int]]] = {}
-            for (r, c), v in lower.items():
-                lower_cols.setdefault(c, []).append((r, v))
-            acc: dict[tuple[int, int], int] = {}
-            for (k, j), v in upper.items():
-                for r, w in lower_cols.get(k, ()):
-                    key = (r, j)
-                    acc[key] = acc.get(key, 0) + v * w
-            if any(acc.values()):
+            if lower and _compose(lower, upper):
                 raise HomologyError(f"boundary squared is nonzero from degree {d}")
 
     def degrees(self) -> list[int]:

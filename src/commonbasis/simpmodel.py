@@ -43,7 +43,7 @@ from .exactlin import (
     span,
     zero_module,
 )
-from .homology import ChainComplex, HomologyProfile, chains, homology
+from .homology import ChainComplex, HomologyProfile, _compose, chains, homology
 
 
 class ModelError(Exception):
@@ -59,8 +59,11 @@ DEFAULT_MODEL_CAP = 2_000_000
 
 
 def _face_flag(flag: tuple[Submodule, ...], i: int) -> tuple[Submodule, ...] | None:
+    """The i-th face, or None where it breaks the pinning to zero at the
+    bottom or to the flag's own top; the top is kept iff its rank is, the
+    flag being weakly increasing."""
     new = flag[:i] + flag[i + 1:]
-    if not new[0].is_zero or not new[-1].is_ambient:
+    if not new[0].is_zero or new[-1].rank != flag[-1].rank:
         return None
     return new
 
@@ -128,9 +131,6 @@ class SemiSimplicialModel:
     def factors(self) -> int:
         return self.a + self.b
 
-    def degree_of(self, simplex: ModelSimplex) -> int:
-        return len(simplex[0]) - 1 if self.a else len(simplex[self.a])
-
     def activity(self, simplex: ModelSimplex) -> int:
         mask = 0
         for f in range(self.a):
@@ -176,30 +176,19 @@ class SemiSimplicialModel:
                         r = lower[face]  # must exist: faces stay in the model
                         key = (r, j)
                         entries[key] = entries.get(key, 0) + (-1) ** i
-                entries = {k: v for k, v in entries.items() if v}
-                if entries:
-                    boundaries[d] = entries
+                boundaries[d] = entries
             object.__setattr__(self, "_chains", ChainComplex(sizes, boundaries))
         return self._chains
 
     def homology(self) -> HomologyProfile:
         return homology(self.chain_complex())
 
-    def members_of(self, simplex: ModelSimplex) -> tuple[Submodule, ...]:
-        return _constituents(simplex, self.a, self.factors)
-
-
-def _constituents(simplex: ModelSimplex, a: int, factors: int) -> tuple[Submodule, ...]:
-    mems: dict[Submodule, None] = {}
-    for f in range(a):
-        for v in simplex[f]:
-            if not v.is_zero and not v.is_ambient:
-                mems[v] = None
-    for f in range(a, factors):
-        for part in simplex[f]:
-            if not part.is_zero and not part.is_ambient:
-                mems[part] = None
-    return tuple(mems)
+    @staticmethod
+    def members_of(simplex: ModelSimplex) -> tuple[Submodule, ...]:
+        """The distinct proper nonzero constituents, factor by factor; also
+        of a tuple of per-factor cores."""
+        return tuple(dict.fromkeys(
+            v for factor in simplex for v in factor if not v.is_zero and not v.is_ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +305,8 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
     simplex in degree 0."""
     if a < 0 or b < 0 or a + b < 1:
         raise ModelError("need at least one factor")
+    if n < 0:
+        raise ModelError(f"rank {n} is negative")
     ring = GF(p)
     if n == 0:
         z = zero_module(ring, 0)
@@ -331,15 +322,8 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
     count = 0
     for combo in product(*factor_cores):
         sizes = [len(core) + 1 for core in combo[:a]] + [len(core) for core in combo[a:]]
-        members: dict[Submodule, None] = {}
-        for f in range(a):
-            for v in combo[f]:
-                members[v] = None
-        for f in range(a, a + b):
-            for v in combo[f]:
-                if not v.is_ambient:
-                    members[v] = None
-        if members and not has_cbp_ie(Collection(ring, n, tuple(members), trusted=True)):
+        members = SemiSimplicialModel.members_of(combo)
+        if members and not has_cbp_ie(Collection(ring, n, members, trusted=True)):
             continue
         for degree in range(max(sizes), sum(sizes) + 1):
             for position_sets in _coverings(sizes, degree):
@@ -360,6 +344,16 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
 
 def _simplex_key(simplex: ModelSimplex):
     return tuple(tuple(s.sort_key() for s in factor) for factor in simplex)
+
+
+# Distinct keys: 8 over the test suite, 3 over tor(3, 2).
+@lru_cache(maxsize=16)
+def _model(a: int, b: int, n: int, p: int) -> SemiSimplicialModel:
+    """The one shared model of each small (a, b, n, p): the Steinberg
+    modules, the shuffle product and the bar-model slots all read it.  It
+    calls ``d_model`` through the module, so a traced run sees each build;
+    one-off large models call ``d_model`` directly and are freed."""
+    return d_model(a, b, n, p)
 
 
 def dump_model(model: SemiSimplicialModel) -> str:
@@ -446,9 +440,7 @@ def tensor_chain_complex(cx: ChainComplex, cy: ChainComplex) -> tuple[ChainCompl
                 if c == yj:
                     entries_key = (lower[(i, xi, r)], col)
                     entries[entries_key] = entries.get(entries_key, 0) + sign * v
-        entries = {k: v for k, v in entries.items() if v}
-        if entries:
-            boundaries[d] = entries
+        boundaries[d] = entries
     return ChainComplex(sizes, boundaries), index
 
 
@@ -516,20 +508,7 @@ class BasedChainMap:
         return {r: v for r, v in out.items() if v}
 
 
-def _compose(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in a.items():
-        by_row.setdefault(c, []).append((r, v))
-    out: dict[tuple[int, int], int] = {}
-    for (k, j), v in b.items():
-        for r, w in by_row.get(k, ()):
-            key = (r, j)
-            out[key] = out.get(key, 0) + v * w
-    return {k: v for k, v in out.items() if v}
-
-
-def mu_chain(a: int, b: int, m: int, n: int, p: int,
-             models: dict | None = None) -> tuple[BasedChainMap, dict, SemiSimplicialModel]:
+def mu_chain(a: int, b: int, m: int, n: int, p: int) -> tuple[BasedChainMap, dict, SemiSimplicialModel]:
     """The chain-level product: Eilenberg-Zilber shuffles followed by the
     factorwise internal direct sum, the left factor embedded in the first
     `m` coordinates and the right factor in the last `n`.
@@ -537,14 +516,7 @@ def mu_chain(a: int, b: int, m: int, n: int, p: int,
     Returns the chain map from the tensor complex of the two models to the
     rank-(m+n) model's complex, the tensor pair index, and the target model.
     """
-    models = models if models is not None else {}
-
-    def get_model(k: int) -> SemiSimplicialModel:
-        if k not in models:
-            models[k] = d_model(a, b, k, p)
-        return models[k]
-
-    mx, my, mz = get_model(m), get_model(n), get_model(m + n)
+    mx, my, mz = _model(a, b, m, p), _model(a, b, n, p), _model(a, b, m + n, p)
     cx, cy, cz = mx.chain_complex(), my.chain_complex(), mz.chain_complex()
     tensor, pair_index = tensor_chain_complex(cx, cy)
     zero_m = zero_module(GF(p), m)
@@ -599,6 +571,10 @@ def _transform_sub(sub: Submodule, g_rows, ring: Ring, n: int) -> Submodule:
 # ---------------------------------------------------------------------------
 
 
+# Bar and internal degrees both run 1..BAR_CUTOFF.
+BAR_CUTOFF = 3
+
+
 @dataclass(frozen=True)
 class BarModelReport:
     a: int
@@ -611,10 +587,10 @@ class BarModelReport:
     faces_checked: int
 
 
-def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
+def check_bar_model(a: int, b: int, n: int, p: int,
                     max_simplices: int = DEFAULT_MODEL_CAP) -> BarModelReport:
     """Enumerate the nondegenerate bisimplices of the two-sided bar
-    construction on the diagonal model in bidegrees up to the cutoff and
+    construction on the diagonal model in bidegrees up to BAR_CUTOFF and
     exhibit the bijection with the model having one extra splitting factor
     (the bar direction becomes the new splitting slot).  Counts must agree
     exactly and faces in both directions must correspond."""
@@ -628,10 +604,11 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
     def slot_elements(part: Submodule, degree: int):
         """All (possibly degenerate) non-basepoint degree-`degree` elements
         of the diagonal model over the subspace `part`, via cores spread
-        over active position sets, transported from the standard model."""
+        over active position sets, transported from the standard model (no
+        larger than ``base``, which was built under the cap)."""
         key = part.basis
         if key not in block_models:
-            std = d_model(a, b, part.rank, p, max_simplices)
+            std = _model(a, b, part.rank, p)
             transported: dict[int, list[ModelSimplex]] = {}
             for r, simps in std.simplices.items():
                 transported[r] = [
@@ -678,8 +655,8 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
     ok = True
     faces_checked = 0
     lhs_tables: dict[tuple[int, int], dict] = {}
-    for p_int in range(1, cutoff + 1):
-        for q in range(1, cutoff + 1):
+    for p_int in range(1, BAR_CUTOFF + 1):
+        for q in range(1, BAR_CUTOFF + 1):
             lhs = bar_elements(p_int, q)
             rhs = rhs_elements(p_int, q)
             mapped = {}
@@ -693,27 +670,28 @@ def check_bar_model(a: int, b: int, n: int, p: int, cutoff: int = 3,
                 ok = False
             lhs_tables[(p_int, q)] = mapped
 
-    # Face correspondence: inner bar faces merge adjacent decomposition
-    # parts and multiply the carried elements; on the other side they merge
-    # the parts of the extra splitting slot.  Internal faces act
-    # simultaneously on the original factors on both sides.
+    # Face correspondence.  An inner bar face merges adjacent decomposition
+    # parts and multiplies the elements they carry; it must be the element,
+    # enumerated one bar degree down, that the bijection sends to the same
+    # simplex with the extra splitting slot's parts merged.  Internal faces
+    # act on every slot element on one side and on the original factors on
+    # the other.
     for (p_int, q), mapped in lhs_tables.items():
-        for (image, dec_img), (dec, elts) in mapped.items():
+        for (image, _), (dec, elts) in mapped.items():
             for j in range(1, q):
-                lhs_face = _bar_face(dec, elts, j, ring, n, factors)
-                rhs_face = dec_img[: j - 1] + (dec_img[j - 1] + dec_img[j],) + dec_img[j + 1:]
-                if lhs_face != (image, rhs_face):
+                merged_dec = dec[: j - 1] + (dec[j - 1] + dec[j],) + dec[j + 1:]
+                merged = _combine_bar(elts[j - 1: j + 1], ring, n, factors)
+                face = (merged_dec, elts[: j - 1] + (merged,) + elts[j + 1:])
+                if lhs_tables[(p_int, q - 1)].get((image, merged_dec)) != face:
                     ok = False
                 faces_checked += 1
-            if p_int >= 1:
-                for i in range(p_int + 1):
-                    lf = _internal_face(elts, dec, i, a, factors)
-                    rf = base.face(image, i)
-                    image_of_lf = None if lf is None else _combine_bar(lf, ring, n, factors)
-                    if image_of_lf != rf:
-                        ok = False
-                    faces_checked += 1
-    return BarModelReport(a, b, n, p, cutoff, ok, counts, faces_checked)
+            for i in range(p_int + 1):
+                lf = tuple(base.face(e, i) for e in elts)
+                image_of_lf = None if None in lf else _combine_bar(lf, ring, n, factors)
+                if image_of_lf != base.face(image, i):
+                    ok = False
+                faces_checked += 1
+    return BarModelReport(a, b, n, p, BAR_CUTOFF, ok, counts, faces_checked)
 
 
 def _spread_model_simplex(core: ModelSimplex, positions: tuple[int, ...], degree: int,
@@ -739,34 +717,3 @@ def _combine_bar(elts, ring: Ring, n: int, factors: int) -> ModelSimplex:
             combined.append(span(ring, n, rows))
         factors_out.append(tuple(combined))
     return tuple(factors_out)
-
-
-def _bar_face(dec, elts, j: int, ring: Ring, n: int, factors: int):
-    """Inner bar face: merge decomposition parts j-1, j (0-based tuple) and
-    multiply the corresponding elements by the factorwise internal sum."""
-    merged_part = dec[j - 1] + dec[j]
-    new_dec = dec[: j - 1] + (merged_part,) + dec[j + 1:]
-    merged = _combine_bar(elts[j - 1: j + 1], ring, n, factors)
-    new_elts = elts[: j - 1] + (merged,) + elts[j + 1:]
-    # Recombine the whole tuple to the image side.
-    return (_combine_bar(new_elts, ring, n, factors), new_dec)
-
-
-def _internal_face(elts, dec, i: int, a: int, factors: int):
-    """Simultaneous internal face across the bar slots.  Flag pinning is
-    relative to each slot's block, not the full ambient space."""
-    out = []
-    for e, part in zip(elts, dec):
-        fs = []
-        for f in range(a):
-            new = e[f][:i] + e[f][i + 1:]
-            if not new[0].is_zero or new[-1] != part:
-                return None
-            fs.append(new)
-        for f in range(a, factors):
-            np_ = _face_parts(e[f], i)
-            if np_ is None:
-                return None
-            fs.append(np_)
-        out.append(tuple(fs))
-    return tuple(out)

@@ -38,6 +38,7 @@ from .exactlin import (
 from .homology import ChainComplex, HomologyProfile, chains, homology
 from .simpmodel import (
     SemiSimplicialModel,
+    _model,
     apply_gl_to_simplex,
     d_model,
     mu_chain,
@@ -171,18 +172,19 @@ class SteinbergModule:
         return coeffs
 
 
-_ST_CACHE: dict[tuple[int, int], SteinbergModule] = {}
-
-
 def st_module(n: int, p: int) -> SteinbergModule:
     """The degree-n Steinberg module over F_p: verified-free top homology of
     the one-factor flag model, with its integral cycle basis.  All lower
     homology must vanish and any torsion is an error."""
     if n > ST_CAPS.get(p, 0):
         raise SteinbergError(f"rank {n} over F_{p} is beyond the computed cap")
-    if (n, p) in _ST_CACHE:
-        return _ST_CACHE[(n, p)]
-    model = d_model(1, 0, n, p)
+    return _st_module(n, p)
+
+
+# ST_CAPS admits 7 keys (n, p).
+@lru_cache(maxsize=8)
+def _st_module(n: int, p: int) -> SteinbergModule:
+    model = _model(1, 0, n, p)
     prof = model.homology()
     if prof.nonzero_degrees() != [n] or prof.has_torsion():
         raise SteinbergError(f"flag model homology is not concentrated and free: {prof}")
@@ -202,7 +204,6 @@ def st_module(n: int, p: int) -> SteinbergModule:
     mod = SteinbergModule(n, p, model, cycles)
     if mod.rank != prof.betti(n):
         raise SteinbergError("cycle basis size disagrees with the betti number")
-    _ST_CACHE[(n, p)] = mod
     return mod
 
 
@@ -211,15 +212,10 @@ def st_module(n: int, p: int) -> SteinbergModule:
 # ---------------------------------------------------------------------------
 
 
-_MODEL_CACHE: dict[int, dict[int, SemiSimplicialModel]] = {}
 # Distinct keys counted over the test suite (and over tor(3, 2) alone): 4 (3)
 # block products and 72 (60) transport permutations.
 _BLOCK_PRODUCT_CACHE_SIZE = 16
 _TRANSPORT_CACHE_SIZE = 1024
-
-
-def _models_for(p: int) -> dict[int, SemiSimplicialModel]:
-    return _MODEL_CACHE.setdefault(p, {})
 
 
 @lru_cache(maxsize=_BLOCK_PRODUCT_CACHE_SIZE)
@@ -227,8 +223,7 @@ def _block_product(a: int, b: int, p: int) -> dict[tuple[int, int], list[int]]:
     """For each Steinberg basis pair, the product cycle (as a vector over the
     top simplices of the rank-(a+b) one-factor model) with the two factors in
     standard complementary blocks."""
-    models = _models_for(p)
-    chain_map, pair_index, mz = mu_chain(1, 0, a, b, p, models)
+    chain_map, pair_index, mz = mu_chain(1, 0, a, b, p)
     sa, sb = st_module(a, p), st_module(b, p)
     out: dict[tuple[int, int], list[int]] = {}
     d = a + b
@@ -404,9 +399,7 @@ def bar_complex(n: int, p: int) -> GradedBarComplex:
                         row = lower[(new_dec, new_idxs)]
                         key = (row, col)
                         entries[key] = entries.get(key, 0) + sign * cv
-        entries = {k: v for k, v in entries.items() if v}
-        if entries:
-            boundaries[q] = entries
+        boundaries[q] = entries
     sizes = {q: len(items) for q, items in basis.items()}
     cc = ChainComplex(sizes, boundaries)  # asserts boundary squared is zero
     return GradedBarComplex(n, p, {q: tuple(items) for q, items in basis.items()}, cc)

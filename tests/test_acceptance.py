@@ -197,7 +197,7 @@ def test_criterion_08_split_comparison():
 def test_criterion_09_bar_model_identity():
     ok = True
     for args in [(1, 0, 1, 2), (1, 0, 2, 2)]:
-        rep = check_bar_model(*args, cutoff=3)
+        rep = check_bar_model(*args)
         ok = ok and rep.ok
         ok = ok and all(lhs == rhs for lhs, rhs in rep.counts.values())
     _report(9, "bar-model-identity", ok)

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -345,7 +346,7 @@ def test_fp_bits_decisions_match_generic_and_brute_force():
     for p, n in _admitted_classes():
         for _ in range(12 if (p, n) in oracle_classes else 4 if n > 1 else 1):
             col = _random_field_collection(rng, n, p)
-            cbp.clear_cbp_cache()
+            cbp._decide.cache_clear()
             ie = has_cbp_ie(col)
             assert ie == (not ie_violations(col)), (p, n, col.members)
             if (p, n) in oracle_classes:
@@ -355,14 +356,19 @@ def test_fp_bits_decisions_match_generic_and_brute_force():
 
 
 def test_cbp_cache_stays_bounded(monkeypatch):
-    monkeypatch.setattr(cbp, "_CBP_CACHE", {})
-    monkeypatch.setattr(cbp, "_CBP_CACHE_MAX", 8)
+    # the decision memo, given a bound of 8, evicts and still answers right
+    small = lru_cache(maxsize=8)(cbp._decide.__wrapped__)
+    monkeypatch.setattr(cbp, "_decide", small)
     subs = all_subspaces(3, 2, 1, 2)
     cols = [collection(list(m)) for m in combinations(subs, 3)][:40]
     first = []
     for col in cols:
         first.append(has_cbp_ie(col))
-        assert 0 < len(cbp._CBP_CACHE) <= 8
+        assert 0 < small.cache_info().currsize <= 8
     assert [has_cbp_ie(col) for col in cols] == first
+    assert small.cache_info().misses == 2 * len(cols)
+    # every order and repetition of the same members shares one entry
+    assert [has_cbp_ie(collection(c.members[::-1] + c.members[:1])) for c in cols[-8:]] == first[-8:]
+    assert small.cache_info().misses == 2 * len(cols)
     assert first == [not ie_violations(col) for col in cols]
     assert True in first and False in first

@@ -186,7 +186,7 @@ def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
               for s in sorted(cb.simplex_set(), key=lambda s: (len(s), s))[::200]]
 
     def build_all():
-        monkeypatch.setattr(cbp, "_CBP_CACHE", {})
+        cbp._decide.cache_clear()
         return ([common_basis_complex(3, 3), higher_tits(1, 1, 2, 3)]
                 + [higher_tits(1, 0, 3, 3, sigma) for sigma in sigmas])
 

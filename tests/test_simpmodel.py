@@ -42,6 +42,8 @@ def test_rank_zero_model_is_unit():
     m = d_model(1, 0, 0, 5)
     assert sizes(m) == {0: 1}
     assert m.homology().betti(0) == 1
+    with pytest.raises(ModelError):
+        d_model(1, 0, -1, 5)
 
 
 def test_faces_hit_basepoint_at_the_ends():
@@ -77,15 +79,13 @@ def test_suspension_reports():
 
 
 def test_mu_unit_is_identity():
-    models = {}
-    chain_map, pairs, mz = mu_chain(1, 0, 0, 2, 2, models)
+    chain_map, pairs, mz = mu_chain(1, 0, 0, 2, 2)
     for d, mat in chain_map.matrices.items():
         assert mat == {(i, i): 1 for i in range(mz.chain_complex().size(d))}
 
 
 def test_mu_on_two_lines_is_signed_flag_sum():
-    models = {}
-    chain_map, pairs, mz = mu_chain(1, 0, 1, 1, 2, models)
+    chain_map, pairs, mz = mu_chain(1, 0, 1, 1, 2)
     col = pairs[2][(1, 0, 0)]
     image = {r: v for (r, c), v in chain_map.matrices[2].items() if c == col}
     flags = mz.simplices[2]
@@ -111,10 +111,9 @@ def test_shuffle_product_strictly_associative():
     # EZ shuffles compose associatively at chain level: compare the two
     # bracketings on a sample of generator triples.
     p = 2
-    models = {}
-    mu12, pairs12, m3 = mu_chain(1, 0, 1, 2, p, models)
-    mu11, pairs11, m2 = mu_chain(1, 0, 1, 1, p, models)
-    mu21, pairs21, m3b = mu_chain(1, 0, 2, 1, p, models)
+    mu12, pairs12, m3 = mu_chain(1, 0, 1, 2, p)
+    mu11, pairs11, m2 = mu_chain(1, 0, 1, 1, p)
+    mu21, pairs21, m3b = mu_chain(1, 0, 2, 1, p)
     # (x*y)*z and x*(y*z) for the unique degree-1 generators x,y,z
     xy = {r: v for (r, c), v in mu11.matrices[2].items() if c == pairs11[2][(1, 0, 0)]}
     xy_z = {}
@@ -143,12 +142,10 @@ def test_mu_graded_commutativity_via_block_swap():
 
     p = 2
     for (m, n) in [(1, 1), (1, 2)]:
-        models = {}
-        mu_f, pairs_f, mz = mu_chain(1, 0, m, n, p, models)
-        mu_b, pairs_b, _ = mu_chain(1, 0, n, m, p, models)
+        mu_f, pairs_f, mz = mu_chain(1, 0, m, n, p)
+        mu_b, pairs_b, _ = mu_chain(1, 0, n, m, p)
         g = block_swap_rows(n, m)  # moves the n-block past the m-block
         ring = GF(p)
-        mx, my = models[m], models[n]
         perm = {}
         for d, simps in mz.simplices.items():
             perm[d] = [mz.index[d][apply_gl_to_simplex(s, g, ring, m + n)] for s in simps]
@@ -172,10 +169,12 @@ def test_ordered_decompositions_counts():
 
 
 def test_bar_model_bijection():
-    for args in [(1, 0, 1, 2), (1, 0, 2, 2), (0, 1, 2, 2)]:
-        rep = check_bar_model(*args, cutoff=3)
+    # (1, 0, 3, 2) is the first instance with bar degree 3, where an inner
+    # bar face multiplies two slots into one of several
+    for args in [(1, 0, 1, 2), (1, 0, 2, 2), (0, 1, 2, 2), (1, 0, 3, 2)]:
+        rep = check_bar_model(*args)
         assert rep.ok, args
-    rep = check_bar_model(1, 0, 2, 2, cutoff=3)
+    rep = check_bar_model(1, 0, 2, 2)
     assert rep.counts[(1, 1)] == (1, 1)
     assert rep.counts[(2, 2)] == (12, 12)
     assert rep.counts[(3, 3)] == (0, 0)
@@ -184,7 +183,7 @@ def test_bar_model_bijection():
 def test_bar_model_matches_extra_splitting_factor_counts():
     # bidegree (p, q) of the bar side matches the (a, b+1) model when the
     # first factors sit at degree p and the new splitting slot at degree q
-    rep = check_bar_model(1, 0, 1, 2, cutoff=3)
+    rep = check_bar_model(1, 0, 1, 2)
     assert rep.counts[(1, 1)] == (1, 1)
     assert all(lhs == rhs for lhs, rhs in rep.counts.values())
 
