@@ -44,6 +44,7 @@ CLI_CASES = [
     "verify split-compare --a 1 --b 1 --n 2 --p 3",
     "verify split-compare --a 0 --b 2 --n 2",
     "verify bar-model --a 1 --b 0 --n 2 --p 2",
+    "verify bar-model --a 1 --b 0 --n 3 --p 2",
     "build tits --n 3 --p 2",
     "build split-tits --n 3 --p 2",
     "build cb --n 3 --p 3",
