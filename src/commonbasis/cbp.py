@@ -33,15 +33,13 @@ from .exactlin import (
     Submodule,
     ambient_module,
     contains,
-    coordinates_in,
     dump_submodule,
     is_split,
     is_unimodular,
     load_submodule,
     span,
     sum_of,
-    _rref_mod_p,
-    _snf_dense,
+    _extend_inside,
 )
 
 
@@ -437,29 +435,6 @@ def common_basis_greedy(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> Commo
             return None
         result_marks.append(idx)
     return CommonBasis(basis, tuple(result_marks))
-
-
-def _extend_inside(p: Submodule, x: Submodule) -> list[tuple[int, ...]] | None:
-    """Vectors of ``x`` extending a basis of ``p`` to one of ``x`` (in
-    ambient coordinates), or None when ``p`` is not split in ``x``.
-    Assumes ``p`` is contained in ``x``."""
-    m = x.rank
-    coords = []
-    for row in p.basis:
-        c = coordinates_in(x, row)
-        assert c is not None
-        coords.append(c)
-    if x.ring.is_field:
-        _, pivots = _rref_mod_p([list(c) for c in coords], m, x.ring.p)
-        ext_coords = [[int(c == j) for c in range(m)] for j in range(m) if j not in pivots]
-    else:
-        divisors, w = _snf_dense([list(c) for c in coords], m, want_colbasis=True)
-        if any(d != 1 for d in divisors):
-            return None
-        assert w is not None
-        ext_coords = w[len(divisors):]
-    return [tuple(x.ring.reduce(sum(c * brow[j] for c, brow in zip(coeffs, x.basis)))
-                  for j in range(x.ambient)) for coeffs in ext_coords]
 
 
 # ---------------------------------------------------------------------------

@@ -476,31 +476,39 @@ def coordinates_in(u: Submodule, vector: Sequence[int]) -> list[int] | None:
     return coeffs if not any(v) else None
 
 
-def extend_to_ambient_basis(u: Submodule) -> Matrix:
-    """A basis of the ambient module whose first ``rank(u)`` rows span ``u``.
+def _extend_inside(p: Submodule, x: Submodule) -> list[tuple[int, ...]] | None:
+    """Vectors of ``x`` extending a basis of ``p`` to one of ``x`` (in
+    ambient coordinates), or None when ``p`` is not split in ``x``.
+    Assumes ``p`` is contained in ``x``."""
+    m = x.rank
+    coords = []
+    for row in p.basis:
+        c = coordinates_in(x, row)
+        assert c is not None
+        coords.append(c)
+    if x.ring.is_field:
+        _, pivots = _rref_mod_p([list(c) for c in coords], m, x.ring.p)
+        ext_coords = [[int(c == j) for c in range(m)] for j in range(m) if j not in pivots]
+    else:
+        divisors, w = _snf_dense([list(c) for c in coords], m, want_colbasis=True)
+        if any(d != 1 for d in divisors):
+            return None
+        assert w is not None
+        ext_coords = w[len(divisors):]
+    return [tuple(x.ring.reduce(sum(c * brow[j] for c, brow in zip(coeffs, x.basis)))
+                  for j in range(x.ambient)) for coeffs in ext_coords]
 
-    Over a field the completion uses the first standard vectors off the pivot
-    columns of the RREF.  Over the integers the completion is read off a
-    Smith decomposition of the basis matrix and is verified to be unimodular;
-    raises :class:`NotSplit` when ``u`` is not a summand.
+
+def extend_to_ambient_basis(u: Submodule) -> Matrix:
+    """A basis of the ambient module whose first ``rank(u)`` rows span ``u``:
+    the canonical basis of ``u`` followed by its :func:`_extend_inside`
+    completion, verified to be unimodular; raises :class:`NotSplit` when
+    ``u`` is not a summand.
     """
-    n = u.ambient
-    if u.ring.is_field:
-        pivots = [next(j for j, x in enumerate(row) if x) for row in u.basis]
-        rows = [list(r) for r in u.basis]
-        for j in range(n):
-            if j not in pivots:
-                rows.append([1 if c == j else 0 for c in range(n)])
-        return Matrix.from_rows(u.ring, rows, n)
-    divisors, w = _snf_dense([list(r) for r in u.basis], n, want_colbasis=True)
-    if any(d != 1 for d in divisors):
+    ext = _extend_inside(u, ambient_module(u.ring, u.ambient))
+    if ext is None:
         raise NotSplit(f"{u!r} is not a summand")
-    assert w is not None
-    rank = len(divisors)
-    # The first `rank` rows of w are a basis of u; swapping in the stored
-    # canonical basis keeps the matrix unimodular (the two bases differ by a
-    # unimodular change of coordinates).
-    result = Matrix.from_rows(u.ring, [list(r) for r in u.basis] + w[rank:], n)
+    result = Matrix.from_rows(u.ring, u.basis + tuple(ext), u.ambient)
     if not is_unimodular(result):
         raise ExactLinError("basis completion failed verification")
     return result

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd
+from typing import Any, Callable, Iterable
 
 from .exactlin import _snf_dense
 
@@ -155,12 +156,19 @@ def _normalize_chain(values: list[int]) -> list[int]:
     return ds
 
 
+def _columns(entries: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
+    """The entries of a sparse matrix grouped by column, as ``col -> [(row,
+    value)]`` in entry order."""
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), v in entries.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
+
+
 def _compose(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """The nonzero entries of the sparse product ``a @ b``; every entry is
     summed in full."""
-    a_cols: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in a.items():
-        a_cols.setdefault(c, []).append((r, v))
+    a_cols = _columns(a)
     out: dict[tuple[int, int], int] = {}
     for (k, j), v in b.items():
         for r, w in a_cols.get(k, ()):
@@ -341,24 +349,32 @@ def homology(c: ChainComplex, up_to_degree: int | None = None) -> HomologyProfil
     return HomologyProfile.from_dict(data)
 
 
-def _simplicial_chains(index: dict[int, dict[tuple[int, ...], int]]) -> ChainComplex:
-    """The chain complex on the simplices of ``index`` (degree -> simplex ->
-    basis position) with the standard alternating-sign boundary.  Faces not
-    indexed one degree down are dropped: they lie in the subcomplex of a
-    quotient, or below degree 0 when there is no augmentation."""
+def assemble(index: dict[int, dict], faces: Callable[[int, Any], Iterable[tuple[Any, int]]]) -> ChainComplex:
+    """The chain complex on the basis ``index`` (degree -> basis element ->
+    position) whose boundary sends an element ``e`` of degree d to the sum
+    of ``coefficient * face`` over the pairs of ``faces(d, e)``.  Every face
+    must be indexed one degree down: an unindexed face raises
+    :class:`HomologyError`, it is never dropped."""
     boundaries: dict[int, dict[tuple[int, int], int]] = {}
-    for d, simps in index.items():
-        lower = index.get(d - 1)
-        if lower is None:
-            continue
+    for d, elements in index.items():
+        lower = index.get(d - 1, {})
         entries: dict[tuple[int, int], int] = {}
-        for s, j in simps.items():
-            for i in range(len(s)):
-                r = lower.get(s[:i] + s[i + 1 :])
-                if r is not None:
-                    entries[(r, j)] = (-1) ** i
-        boundaries[d] = entries
-    return ChainComplex({d: len(simps) for d, simps in index.items()}, boundaries)
+        for element, col in elements.items():
+            for face, coefficient in faces(d, element):
+                row = lower.get(face)
+                if row is None:
+                    raise HomologyError(
+                        f"a face of basis element {col} in degree {d} is not indexed one degree down")
+                key = (row, col)
+                entries[key] = entries.get(key, 0) + coefficient
+        if entries:
+            boundaries[d] = entries
+    return ChainComplex({d: len(elements) for d, elements in index.items()}, boundaries)
+
+
+def _simplex_faces(d: int, simplex: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The faces of a d-simplex with the standard alternating signs."""
+    return [(simplex[:i] + simplex[i + 1:], (-1) ** i) for i in range(d + 1)]
 
 
 def chains(complex_) -> ChainComplex:
@@ -369,12 +385,12 @@ def chains(complex_) -> ChainComplex:
     index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
     for d, simps in complex_.simplices_by_dim().items():
         index[d] = {s: i for i, s in enumerate(simps)}
-    return _simplicial_chains(index)
+    return assemble(index, _simplex_faces)
 
 
 def relative_chains(x, y) -> ChainComplex:
     """The quotient chain complex of a pair: simplices of ``x`` not in ``y``,
-    boundary entries landing in ``y`` dropped, no augmentation."""
+    faces in ``y`` and the empty face left out, no augmentation."""
     if not y.is_subcomplex_of(x):
         raise HomologyError("second complex is not a subcomplex of the first")
     if y.vertices == x.vertices:
@@ -390,7 +406,11 @@ def relative_chains(x, y) -> ChainComplex:
         kept = [s for s in simps if s not in y_simplices]
         if kept:
             index[d] = {s: i for i, s in enumerate(kept)}
-    return _simplicial_chains(index)
+
+    def faces(d: int, simplex: tuple[int, ...]):
+        return ((f, c) for f, c in _simplex_faces(d, simplex) if f and f not in y_simplices)
+
+    return assemble(index, faces)
 
 
 def relative_homology(x, y) -> HomologyProfile:

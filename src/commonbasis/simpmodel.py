@@ -17,6 +17,14 @@ a face that breaks a pinning lands on the basepoint.  Normalized chains over
 these simplices compute the reduced homology of the model; the comparison
 with the suspended higher buildings is :func:`check_suspension`.
 
+The boundary of a simplex is the signed sum of its inner faces, with no
+degeneracy filter.  Proof sketch: position k of a degree-d simplex is
+active in a flag factor iff ``flag[k] != flag[k+1]``, and in a splitting
+factor iff ``parts[k] != 0``.  Face 0 (face d) survives a factor only if
+position 0 (position d-1) is inactive there, so on a nondegenerate simplex
+it is the basepoint.  An inner face i merges positions i-1 and i into one
+that is active iff either was, so the face is nondegenerate.
+
 The monoid structure is materialized at chain level by
 :func:`mu_chain`: the Eilenberg-Zilber shuffle map followed by the
 factorwise internal-direct-sum multiplication, with the two factors embedded
@@ -43,7 +51,7 @@ from .exactlin import (
     span,
     zero_module,
 )
-from .homology import ChainComplex, HomologyProfile, _compose, chains, homology
+from .homology import ChainComplex, HomologyProfile, _columns, _compose, assemble, chains, homology
 
 
 class ModelError(Exception):
@@ -86,22 +94,6 @@ def _degen_parts(parts: tuple[Submodule, ...], j: int, zero: Submodule) -> tuple
     return parts[:j] + (zero,) + parts[j:]
 
 
-def _activity_flag(flag: tuple[Submodule, ...]) -> int:
-    mask = 0
-    for i in range(len(flag) - 1):
-        if flag[i] != flag[i + 1]:
-            mask |= 1 << i
-    return mask
-
-
-def _activity_parts(parts: tuple[Submodule, ...]) -> int:
-    mask = 0
-    for i, part in enumerate(parts):
-        if not part.is_zero:
-            mask |= 1 << i
-    return mask
-
-
 ModelSimplex = tuple  # tuple over factors; each factor a tuple of Submodule
 
 
@@ -131,14 +123,6 @@ class SemiSimplicialModel:
     def factors(self) -> int:
         return self.a + self.b
 
-    def activity(self, simplex: ModelSimplex) -> int:
-        mask = 0
-        for f in range(self.a):
-            mask |= _activity_flag(simplex[f])
-        for f in range(self.a, self.factors):
-            mask |= _activity_parts(simplex[f])
-        return mask
-
     def face(self, simplex: ModelSimplex, i: int) -> ModelSimplex | None:
         """The i-th face, or None for the basepoint."""
         out = []
@@ -154,30 +138,18 @@ class SemiSimplicialModel:
             out.append(np_)
         return tuple(out)
 
-    def is_nondegenerate(self, simplex: ModelSimplex, degree: int) -> bool:
-        return self.activity(simplex) == (1 << degree) - 1 if degree else True
+    def _faces(self, d: int, simplex: ModelSimplex):
+        """The signed non-basepoint faces; the unit's degree 0 has none."""
+        if d == 0:
+            return
+        for i in range(d + 1):
+            face = self.face(simplex, i)
+            if face is not None:
+                yield face, (-1) ** i
 
     def chain_complex(self) -> ChainComplex:
         if self._chains is None:
-            sizes = {d: len(s) for d, s in self.simplices.items()}
-            boundaries: dict[int, dict[tuple[int, int], int]] = {}
-            for d, simps in self.simplices.items():
-                if d == 0:
-                    continue
-                lower = self.index.get(d - 1, {})
-                entries: dict[tuple[int, int], int] = {}
-                for j, s in enumerate(simps):
-                    for i in range(d + 1):
-                        face = self.face(s, i)
-                        if face is None:
-                            continue
-                        if not self.is_nondegenerate(face, d - 1):
-                            continue
-                        r = lower[face]  # must exist: faces stay in the model
-                        key = (r, j)
-                        entries[key] = entries.get(key, 0) + (-1) ** i
-                boundaries[d] = entries
-            object.__setattr__(self, "_chains", ChainComplex(sizes, boundaries))
+            object.__setattr__(self, "_chains", assemble(self.index, self._faces))
         return self._chains
 
     def homology(self) -> HomologyProfile:
@@ -314,9 +286,7 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
         return SemiSimplicialModel(a, b, n, ring, {0: (tuple(simplex),)})
     zero = zero_module(ring, n)
     full = ambient_module(ring, n)
-    l_cores = _l_cores(n, p)
-    sl_cores = _sl_cores(n, p)
-    factor_cores = [l_cores] * a + [sl_cores] * b
+    factor_cores = [_l_cores(n, p) for _ in range(a)] + [_sl_cores(n, p) for _ in range(b)]
 
     by_degree: dict[int, list[ModelSimplex]] = {}
     count = 0
@@ -423,25 +393,18 @@ def tensor_chain_complex(cx: ChainComplex, cy: ChainComplex) -> tuple[ChainCompl
     for d in pairs:
         pairs[d].sort()
     index = {d: {t: k for k, t in enumerate(lst)} for d, lst in pairs.items()}
-    sizes = {d: len(lst) for d, lst in pairs.items()}
-    boundaries: dict[int, dict[tuple[int, int], int]] = {}
-    for d, lst in pairs.items():
-        entries: dict[tuple[int, int], int] = {}
-        lower = index.get(d - 1, {})
-        for col, (i, xi, yj) in enumerate(lst):
-            bx = cx.boundaries.get(i, {})
-            for (r, c), v in bx.items():
-                if c == xi:
-                    entries_key = (lower[(i - 1, r, yj)], col)
-                    entries[entries_key] = entries.get(entries_key, 0) + v
-            by = cy.boundaries.get(d - i, {})
-            sign = (-1) ** i
-            for (r, c), v in by.items():
-                if c == yj:
-                    entries_key = (lower[(i, xi, r)], col)
-                    entries[entries_key] = entries.get(entries_key, 0) + sign * v
-        boundaries[d] = entries
-    return ChainComplex(sizes, boundaries), index
+    x_cols = {i: _columns(entries) for i, entries in cx.boundaries.items()}
+    y_cols = {j: _columns(entries) for j, entries in cy.boundaries.items()}
+
+    def faces(d: int, pair: tuple[int, int, int]):
+        i, xi, yj = pair
+        for r, v in x_cols.get(i, {}).get(xi, ()):
+            yield (i - 1, r, yj), v
+        sign = (-1) ** i
+        for r, v in y_cols.get(d - i, {}).get(yj, ()):
+            yield (i, xi, r), sign * v
+
+    return assemble(index, faces), index
 
 
 def _shuffles(p: int, q: int):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 from .complexes import join, tits
@@ -35,7 +36,7 @@ from .exactlin import (
     coordinates_in,
     left_kernel,
 )
-from .homology import ChainComplex, HomologyProfile, chains, homology
+from .homology import ChainComplex, HomologyProfile, assemble, chains, homology
 from .simpmodel import (
     SemiSimplicialModel,
     _model,
@@ -350,16 +351,13 @@ def bar_complex(n: int, p: int) -> GradedBarComplex:
     if n > ST_CAPS.get(p, 0):
         raise SteinbergError(f"rank {n} over F_{p} is beyond the computed cap")
     ranks = {m: st_module(m, p).rank for m in range(1, n + 1)}
-    basis: dict[int, list] = {}
     if n == 0:
-        basis[0] = [((), ())]
         return GradedBarComplex(0, p, {0: (((), ()),)}, ChainComplex({0: 1}, {}))
+    basis: dict[int, list] = {}
     for q in range(1, n + 1):
         items = []
         for dec in ordered_decompositions(n, p, q):
-            from itertools import product as _product
-
-            for idxs in _product(*(range(ranks[part.rank]) for part in dec)):
+            for idxs in product(*(range(ranks[part.rank]) for part in dec)):
                 items.append((dec, idxs))
         if items:
             basis[q] = items
@@ -376,32 +374,23 @@ def bar_complex(n: int, p: int) -> GradedBarComplex:
         if expected != len(items):
             raise SteinbergError(f"bar basis size in degree {q} disagrees with the formula")
 
+    def faces(q: int, item):
+        """The adjacent multiplications, expanded in the Steinberg bases."""
+        dec, idxs = item
+        for j in range(1, q):
+            a_sub, b_sub = dec[j - 1], dec[j]
+            ei = [0] * ranks[a_sub.rank]
+            ej = [0] * ranks[b_sub.rank]
+            ei[idxs[j - 1]] = 1
+            ej[idxs[j]] = 1
+            merged, coeffs = st_multiply(a_sub, ei, b_sub, ej)
+            new_dec = dec[: j - 1] + (merged,) + dec[j + 1:]
+            for t, cv in enumerate(coeffs):
+                if cv:
+                    yield (new_dec, idxs[: j - 1] + (t,) + idxs[j + 1:]), (-1) ** j * cv
+
     index = {q: {item: k for k, item in enumerate(items)} for q, items in basis.items()}
-    boundaries: dict[int, dict[tuple[int, int], int]] = {}
-    for q, items in basis.items():
-        if q < 2:
-            continue
-        entries: dict[tuple[int, int], int] = {}
-        lower = index[q - 1]
-        for col, (dec, idxs) in enumerate(items):
-            for j in range(1, q):
-                sign = (-1) ** j
-                a_sub, b_sub = dec[j - 1], dec[j]
-                ei = [0] * st_module(a_sub.rank, p).rank
-                ej = [0] * st_module(b_sub.rank, p).rank
-                ei[idxs[j - 1]] = 1
-                ej[idxs[j]] = 1
-                merged, coeffs = st_multiply(a_sub, ei, b_sub, ej)
-                new_dec = dec[: j - 1] + (merged,) + dec[j + 1:]
-                for t, cv in enumerate(coeffs):
-                    if cv:
-                        new_idxs = idxs[: j - 1] + (t,) + idxs[j + 1:]
-                        row = lower[(new_dec, new_idxs)]
-                        key = (row, col)
-                        entries[key] = entries.get(key, 0) + sign * cv
-        boundaries[q] = entries
-    sizes = {q: len(items) for q, items in basis.items()}
-    cc = ChainComplex(sizes, boundaries)  # asserts boundary squared is zero
+    cc = assemble(index, faces)  # asserts boundary squared is zero
     return GradedBarComplex(n, p, {q: tuple(items) for q, items in basis.items()}, cc)
 
 

@@ -1,5 +1,6 @@
-"""Shared test fixtures: seeded random generators over Z and the
-self-contained brute-force common-basis oracle over prime fields.
+"""Shared test fixtures: seeded random generators over Z, the
+self-contained brute-force common-basis oracle over prime fields, and a
+reference assembly of model boundaries.
 
 The oracle deliberately reimplements its linear algebra from scratch
 (vector enumeration and set comparison only), so that it shares no code
@@ -20,6 +21,7 @@ from commonbasis.exactlin import (
     left_kernel,
     span,
 )
+from commonbasis.homology import ChainComplex
 
 # ---------------------------------------------------------------------------
 # Random integer lattices.
@@ -150,3 +152,43 @@ def brute_force_cbp(members, n: int, p: int) -> bool:
         if all(es in fam["spans"] or len(es) == 1 for es in element_sets):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference model boundaries: every face, filtered for nondegeneracy.
+# ---------------------------------------------------------------------------
+
+
+def activity(model, simplex) -> int:
+    """The positions where some factor of a model simplex moves, as a bit
+    mask: a flag grows strictly there, or a splitting part is nonzero."""
+    mask = 0
+    for f, factor in enumerate(simplex):
+        if f < model.a:
+            moves = [factor[k] != factor[k + 1] for k in range(len(factor) - 1)]
+        else:
+            moves = [not part.is_zero for part in factor]
+        for k, moved in enumerate(moves):
+            if moved:
+                mask |= 1 << k
+    return mask
+
+
+def reference_model_complex(model) -> ChainComplex:
+    """The model's chain complex by the filtered loop: each face that is
+    neither the basepoint nor degenerate is looked up one degree down."""
+    boundaries = {}
+    for d, simps in model.simplices.items():
+        if d == 0:
+            continue
+        lower = model.index.get(d - 1, {})
+        entries = {}
+        for j, s in enumerate(simps):
+            for i in range(d + 1):
+                face = model.face(s, i)
+                if face is None or activity(model, face) != (1 << (d - 1)) - 1:
+                    continue
+                key = (lower[face], j)
+                entries[key] = entries.get(key, 0) + (-1) ** i
+        boundaries[d] = entries
+    return ChainComplex({d: len(s) for d, s in model.simplices.items()}, boundaries)

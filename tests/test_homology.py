@@ -20,6 +20,7 @@ from commonbasis.homology import (
     ChainComplex,
     HomologyError,
     HomologyProfile,
+    assemble,
     chains,
     homology,
     is_c_connected_homologically,
@@ -60,6 +61,15 @@ def test_homology_examples():
 def test_boundary_squared_checked():
     with pytest.raises(HomologyError):
         ChainComplex({0: 1, 1: 1, 2: 1}, {1: {(0, 0): 1}, 2: {(0, 0): 1}})
+
+
+def test_assemble_rejects_an_unindexed_face():
+    index = {0: {"v": 0}, 1: {"e": 0}}
+    assert assemble(index, lambda d, e: [("v", 1)] if d == 1 else []).boundaries == {1: {(0, 0): 1}}
+    with pytest.raises(HomologyError):
+        assemble(index, lambda d, e: [("w", 1)] if d == 1 else [])
+    with pytest.raises(HomologyError):
+        assemble(index, lambda d, e: [("v", 1)])  # degree 0 has no degree -1
 
 
 def test_torsion_detected_projective_plane():

@@ -13,6 +13,7 @@ from commonbasis.simpmodel import (
     ordered_decompositions,
     tensor_chain_complex,
 )
+from helpers import activity, reference_model_complex
 
 
 def sizes(model):
@@ -46,13 +47,34 @@ def test_rank_zero_model_is_unit():
         d_model(1, 0, -1, 5)
 
 
+# Every model class the suite builds.
+MODEL_CLASSES = [(1, 0, 2, 2), (1, 1, 2, 2), (2, 0, 2, 2), (0, 2, 2, 2),
+                 (1, 0, 2, 3), (1, 0, 3, 2), (0, 1, 3, 2), (1, 1, 2, 3)]
+
+
 def test_faces_hit_basepoint_at_the_ends():
     m = d_model(1, 0, 2, 2)
     (gen,) = m.simplices[1]
-    assert m.face(gen, 0) is None and m.face(gen, 1) is None
     for s in m.simplices[2]:
-        assert m.face(s, 0) is None and m.face(s, 2) is None
         assert m.face(s, 1) == gen
+    for a, b, n, p in MODEL_CLASSES:
+        m = d_model(a, b, n, p)
+        for d, simps in m.simplices.items():
+            for s in simps:
+                assert activity(m, s) == (1 << d) - 1, (a, b, n, p, d)
+                assert m.face(s, 0) is None and m.face(s, d) is None, (a, b, n, p, d)
+
+
+def test_model_boundary_matches_the_filtered_reference():
+    # the boundary built from inner faces alone equals, entry for entry
+    # and in order, the one that filters every face for nondegeneracy
+    for a, b, n, p in MODEL_CLASSES:
+        m = d_model(a, b, n, p)
+        got = m.chain_complex().boundaries
+        want = reference_model_complex(m).boundaries
+        assert list(got) == list(want), (a, b, n, p)
+        for d in want:
+            assert list(got[d].items()) == list(want[d].items()), (a, b, n, p, d)
 
 
 def test_homology_supported_in_expected_degree_window():
