@@ -25,6 +25,31 @@ position 0 (position d-1) is inactive there, so on a nondegenerate simplex
 it is the basepoint.  An inner face i merges positions i-1 and i into one
 that is active iff either was, so the face is nondegenerate.
 
+A simplex is stored as a code: per factor, the id of its core in
+``_l_cores(n, p)`` (flag) or ``_sl_cores(n, p)`` (splitting) and the mask
+of its active positions, laid out as the tuple of core ids followed by the
+tuple of masks.  Entry j of a flag is ``(0, core..., F_p^n)[L]`` and
+nonzero part k is ``core[L]``, where L counts the mask bits below j (below
+k).  Enumeration, order, index and boundary all run on codes; the
+``Submodule`` simplices are decoded only where they are read.  Inner face i
+acts on a factor's code as follows, with ``L`` the number of mask bits
+below i-1:
+
+* the new mask ORs bits i-1 and i into bit i-1 and shifts the higher bits
+  down one place, which is the activity of the merged position above;
+* if only one of the two bits is set, the two positions carry one new
+  value (flag) or one nonzero part (splitting), so deleting entry i of the
+  flag, or adding a zero part to a part, leaves the core as it is;
+* if both are set, entry i of the flag is ``core[L]``, strictly between its
+  neighbours, and deleting it drops level L of the core
+  (``_flag_drops``); parts i-1 and i are ``core[L]`` and ``core[L+1]``,
+  and the face replaces them by their sum, which merges parts L and L+1 of
+  the core (``_split_merges``).  Both results are again cores of the
+  tables: a shorter strict chain, a shorter decomposition.
+
+So the code's face decodes to :meth:`SemiSimplicialModel.face` of the
+decoded simplex.
+
 The monoid structure is materialized at chain level by
 :func:`mu_chain`: the Eilenberg-Zilber shuffle map followed by the
 factorwise internal-direct-sum multiplication, with the two factors embedded
@@ -35,10 +60,10 @@ and the model with one more splitting factor.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
 
 from .cbp import Collection, has_cbp_ie
 from .complexes import DEFAULT_MAX_SIMPLICES, DEFAULT_MAX_VERTICES, higher_tits
@@ -97,31 +122,65 @@ def _degen_parts(parts: tuple[Submodule, ...], j: int, zero: Submodule) -> tuple
 ModelSimplex = tuple  # tuple over factors; each factor a tuple of Submodule
 
 
+class _DecodedDegree(Sequence):
+    """The simplices of one degree of a model, decoded from their codes when
+    an item is first read; the length is the number of codes."""
+
+    def __init__(self, codes: tuple, degree: int, spread, decoded: dict):
+        self._codes = codes
+        self._degree = degree
+        self._spread = spread
+        self._decoded = decoded
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def _simplices(self) -> tuple[ModelSimplex, ...]:
+        simps = self._decoded.get(self._degree)
+        if simps is None:
+            simps = self._decoded[self._degree] = _decode(self._codes, self._degree, self._spread)
+        return simps
+
+    def __getitem__(self, i):
+        return self._simplices()[i]
+
+    def __iter__(self):
+        return iter(self._simplices())
+
+
 @dataclass(frozen=True, eq=False)
 class SemiSimplicialModel:
     """Degreewise-finite collection of the nondegenerate non-basepoint
-    diagonal simplices, with face maps and normalized chains."""
+    diagonal simplices, with face maps and normalized chains.  ``codes``
+    holds the simplices as integer codes; ``simplices`` and ``index`` are
+    their ``Submodule`` view, decoded when first read."""
 
     a: int
     b: int
     n: int
     ring: Ring
-    simplices: dict  # degree -> tuple[ModelSimplex, ...] in deterministic order
+    codes: dict  # degree -> tuple[code, ...] in deterministic order
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "index",
-            {
-                deg: {s: i for i, s in enumerate(simps)}
-                for deg, simps in self.simplices.items()
-            },
-        )
+        spread = _spreader(self.a, self.b, self.n, self.ring.p)
+        decoded: dict[int, tuple[ModelSimplex, ...]] = {}
+        object.__setattr__(self, "_decoded", decoded)
+        object.__setattr__(self, "simplices", {
+            d: _DecodedDegree(codes, d, spread, decoded) for d, codes in self.codes.items()})
+        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_chains", None)
 
     @property
     def factors(self) -> int:
         return self.a + self.b
+
+    @property
+    def index(self) -> dict:
+        """Degree -> simplex -> position."""
+        if self._index is None:
+            object.__setattr__(self, "_index", {
+                d: {s: i for i, s in enumerate(simps)} for d, simps in self.simplices.items()})
+        return self._index
 
     def face(self, simplex: ModelSimplex, i: int) -> ModelSimplex | None:
         """The i-th face, or None for the basepoint."""
@@ -138,18 +197,14 @@ class SemiSimplicialModel:
             out.append(np_)
         return tuple(out)
 
-    def _faces(self, d: int, simplex: ModelSimplex):
-        """The signed non-basepoint faces; the unit's degree 0 has none."""
-        if d == 0:
-            return
-        for i in range(d + 1):
-            face = self.face(simplex, i)
-            if face is not None:
-                yield face, (-1) ** i
-
     def chain_complex(self) -> ChainComplex:
         if self._chains is None:
-            object.__setattr__(self, "_chains", assemble(self.index, self._faces))
+            n, p = self.n, self.ring.p
+            flags = _flag_drops(n, p) if self.a else ()
+            splits = _split_merges(n, p) if self.b else ()
+            tables = [flags] * self.a + [splits] * self.b
+            index = {d: {c: i for i, c in enumerate(codes)} for d, codes in self.codes.items()}
+            object.__setattr__(self, "_chains", assemble(index, _inner_faces(tables)))
         return self._chains
 
     def homology(self) -> HomologyProfile:
@@ -168,7 +223,8 @@ class SemiSimplicialModel:
 # ---------------------------------------------------------------------------
 
 
-# Distinct (n, p) keys of the core tables: 5 over the test suite, 3 over tor(3, 2).
+# Distinct (n, p) keys of the core and face tables: at most 8 over the test
+# suite, 3 over tor(3, 2).
 _CORE_CACHE_SIZE = 16
 
 
@@ -219,38 +275,121 @@ def ordered_decompositions(n: int, p: int, length: int, within: Submodule | None
 
 @lru_cache(maxsize=_CORE_CACHE_SIZE)
 def _sl_cores(n: int, p: int) -> tuple[tuple[Submodule, ...], ...]:
+    """Ordered decompositions into nonzero parts; the zero space has only
+    the empty one."""
     cores: list[tuple[Submodule, ...]] = []
-    for s in range(1, n + 1):
+    for s in range(n + 1):
         cores.extend(ordered_decompositions(n, p, s))
     cores.sort(key=lambda ch: (len(ch), tuple(s.sort_key() for s in ch)))
     return tuple(cores)
 
 
-def _spread_flag(core: tuple[Submodule, ...], positions: tuple[int, ...], degree: int,
+@lru_cache(maxsize=_CORE_CACHE_SIZE)
+def _flag_drops(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Per flag core id, per level k: the id of the core without entry k."""
+    cores = _l_cores(n, p)
+    ids = {core: c for c, core in enumerate(cores)}
+    return tuple(tuple(ids[core[:k] + core[k + 1:]] for k in range(len(core))) for core in cores)
+
+
+@lru_cache(maxsize=_CORE_CACHE_SIZE)
+def _split_merges(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Per splitting core id, per k: the id of the core with parts k and k+1
+    merged into their sum."""
+    cores = _sl_cores(n, p)
+    ids = {core: c for c, core in enumerate(cores)}
+    return tuple(
+        tuple(ids[core[:k] + (core[k] + core[k + 1],) + core[k + 2:]] for k in range(len(core) - 1))
+        for core in cores
+    )
+
+
+def _spread_flag(core: tuple[Submodule, ...], mask: int, degree: int,
                  zero: Submodule, full: Submodule) -> tuple[Submodule, ...]:
     values = (zero,) + core + (full,)
-    flag = [zero]
-    level = 0
-    pos_set = set(positions)
-    for i in range(degree):
-        if i in pos_set:
-            level += 1
-        flag.append(values[level])
-    return tuple(flag)
+    return tuple(values[(mask & ((1 << j) - 1)).bit_count()] for j in range(degree + 1))
 
 
-def _spread_parts(core: tuple[Submodule, ...], positions: tuple[int, ...], degree: int,
+def _spread_parts(core: tuple[Submodule, ...], mask: int, degree: int,
                   zero: Submodule) -> tuple[Submodule, ...]:
-    parts = [zero] * degree
-    for level, i in enumerate(sorted(positions)):
-        parts[i] = core[level]
-    return tuple(parts)
+    return tuple(core[(mask & ((1 << k) - 1)).bit_count()] if mask >> k & 1 else zero
+                 for k in range(degree))
+
+
+def _spreader(a: int, b: int, n: int, p: int):
+    """The entries of factor f spread from its core id and position mask in
+    a given degree."""
+    ring = GF(p)
+    zero, full = zero_module(ring, n), ambient_module(ring, n)
+    flags = _l_cores(n, p)
+    splits = _sl_cores(n, p) if b else ()
+
+    def spread(f: int, core: int, mask: int, degree: int) -> tuple[Submodule, ...]:
+        if f < a:
+            return _spread_flag(flags[core], mask, degree, zero, full)
+        return _spread_parts(splits[core], mask, degree, zero)
+
+    return spread
+
+
+def _decode(codes: tuple, degree: int, spread) -> tuple[ModelSimplex, ...]:
+    factors = len(codes[0]) // 2
+    entries: dict[tuple[int, int, int], tuple[Submodule, ...]] = {}
+    out = []
+    for code in codes:
+        simplex = []
+        for f in range(factors):
+            key = (f, code[f], code[factors + f])
+            factor = entries.get(key)
+            if factor is None:
+                factor = entries[key] = spread(f, code[f], code[factors + f], degree)
+            simplex.append(factor)
+        out.append(tuple(simplex))
+    return tuple(out)
+
+
+def _sorted_codes(codes: list, degree: int, spread) -> tuple:
+    """The codes in the order of their simplices' keys, the tuple over
+    factors of the entries' flattened bases: each factor's distinct
+    (core, mask) pairs are ranked by the key of their spread entries, and a
+    code is sorted by its tuple of ranks.  Distinct subspaces have distinct
+    flattened bases, so the ranks order the codes as the keys would."""
+    factors = len(codes[0]) // 2
+    ranks = []
+    for f in range(factors):
+        pairs = sorted({(code[f], code[factors + f]) for code in codes},
+                       key=lambda cm: tuple(s.sort_key() for s in spread(f, *cm, degree)))
+        ranks.append({cm: r for r, cm in enumerate(pairs)})
+    return tuple(sorted(codes, key=lambda code: tuple(
+        rank[code[f], code[factors + f]] for f, rank in enumerate(ranks))))
+
+
+def _inner_faces(tables: list):
+    """Faces 1..d-1 of a code, given each factor's table of core faces
+    (``_flag_drops`` or ``_split_merges``); see the module docstring."""
+    factors = len(tables)
+
+    def faces(d: int, code: tuple):
+        for i in range(1, d):
+            below = (1 << (i - 1)) - 1
+            face = list(code)
+            for f, table in enumerate(tables):
+                mask = code[factors + f]
+                pair = mask >> (i - 1) & 3
+                if pair == 3:
+                    face[f] = table[code[f]][(mask & below).bit_count()]
+                face[factors + f] = (mask & below) | (pair != 0) << (i - 1) | mask >> (i + 1) << i
+            yield tuple(face), -1 if i & 1 else 1
+
+    return faces
 
 
 def _coverings(sizes: Sequence[int], degree: int):
-    """Tuples of position sets S_f of the given sizes covering range(degree)."""
-    all_positions = tuple(range(degree))
+    """Tuples of position masks with the given bit counts covering
+    range(degree)."""
     full_mask = (1 << degree) - 1
+    masks = {size: [sum(1 << i for i in subset) for subset in combinations(range(degree), size)]
+             for size in set(sizes)}
 
     def rec(f: int, covered: int):
         if f == len(sizes):
@@ -258,15 +397,12 @@ def _coverings(sizes: Sequence[int], degree: int):
                 yield ()
             return
         tail_capacity = sum(sizes[f + 1:])
-        for subset in combinations(all_positions, sizes[f]):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
+        for mask in masks[sizes[f]]:
             uncovered_after = (full_mask & ~(covered | mask)).bit_count()
             if uncovered_after > tail_capacity:
                 continue
             for rest in rec(f + 1, covered | mask):
-                yield (subset,) + rest
+                yield (mask,) + rest
 
     yield from rec(0, 0)
 
@@ -281,39 +417,26 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
         raise ModelError(f"rank {n} is negative")
     ring = GF(p)
     if n == 0:
-        z = zero_module(ring, 0)
-        simplex = tuple([(z,)] * a + [()] * b)
-        return SemiSimplicialModel(a, b, n, ring, {0: (tuple(simplex),)})
-    zero = zero_module(ring, n)
-    full = ambient_module(ring, n)
+        return SemiSimplicialModel(a, b, n, ring, {0: ((0,) * (2 * (a + b)),)})
     factor_cores = [_l_cores(n, p) for _ in range(a)] + [_sl_cores(n, p) for _ in range(b)]
 
-    by_degree: dict[int, list[ModelSimplex]] = {}
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
     count = 0
-    for combo in product(*factor_cores):
+    for ids in product(*(range(len(cores)) for cores in factor_cores)):
+        combo = [cores[c] for cores, c in zip(factor_cores, ids)]
         sizes = [len(core) + 1 for core in combo[:a]] + [len(core) for core in combo[a:]]
         members = SemiSimplicialModel.members_of(combo)
         if members and not has_cbp_ie(Collection(ring, n, members, trusted=True)):
             continue
         for degree in range(max(sizes), sum(sizes) + 1):
-            for position_sets in _coverings(sizes, degree):
-                factors = []
-                for f in range(a):
-                    factors.append(_spread_flag(combo[f], position_sets[f], degree, zero, full))
-                for f in range(a, a + b):
-                    factors.append(_spread_parts(combo[f], position_sets[f], degree, zero))
-                by_degree.setdefault(degree, []).append(tuple(factors))
+            for masks in _coverings(sizes, degree):
+                by_degree.setdefault(degree, []).append(ids + masks)
                 count += 1
                 if count > max_simplices:
                     raise ModelError(f"model exceeds {max_simplices} simplices")
-    simplices = {
-        d: tuple(sorted(lst, key=_simplex_key)) for d, lst in sorted(by_degree.items())
-    }
-    return SemiSimplicialModel(a, b, n, ring, simplices)
-
-
-def _simplex_key(simplex: ModelSimplex):
-    return tuple(tuple(s.sort_key() for s in factor) for factor in simplex)
+    spread = _spreader(a, b, n, p)
+    codes = {d: _sorted_codes(lst, d, spread) for d, lst in sorted(by_degree.items())}
+    return SemiSimplicialModel(a, b, n, ring, codes)
 
 
 # Distinct keys: 8 over the test suite, 3 over tor(3, 2).

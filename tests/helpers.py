@@ -1,6 +1,6 @@
 """Shared test fixtures: seeded random generators over Z, the
-self-contained brute-force common-basis oracle over prime fields, and a
-reference assembly of model boundaries.
+self-contained brute-force common-basis oracle over prime fields, and
+reference enumerations and assemblies of models.
 
 The oracle deliberately reimplements its linear algebra from scratch
 (vector enumeration and set comparison only), so that it shares no code
@@ -12,16 +12,20 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from commonbasis.cbp import Collection, has_cbp_ie
 from commonbasis.exactlin import (
     GF,
     ZZ,
     Matrix,
     Submodule,
+    ambient_module,
     canonicalize,
     left_kernel,
     span,
+    zero_module,
 )
 from commonbasis.homology import ChainComplex
+from commonbasis.simpmodel import SemiSimplicialModel, _l_cores, _sl_cores
 
 # ---------------------------------------------------------------------------
 # Random integer lattices.
@@ -155,8 +159,44 @@ def brute_force_cbp(members, n: int, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference model boundaries: every face, filtered for nondegeneracy.
+# Reference models: simplices as tuples of submodules, every face filtered
+# for nondegeneracy.
 # ---------------------------------------------------------------------------
+
+
+def reference_model_simplices(a: int, b: int, n: int, p: int) -> dict:
+    """The model's simplices enumerated as submodules: every core
+    combination with a common basis, spread over every choice of step
+    positions that covers each step, each degree sorted by the flattened
+    bases of the entries."""
+    ring = GF(p)
+    zero, full = zero_module(ring, n), ambient_module(ring, n)
+    by_degree = {}
+    for combo in product(*([_l_cores(n, p)] * a + [_sl_cores(n, p)] * b)):
+        members = SemiSimplicialModel.members_of(combo)
+        if members and not has_cbp_ie(Collection(ring, n, members, trusted=True)):
+            continue
+        sizes = [len(core) + 1 for core in combo[:a]] + [len(core) for core in combo[a:]]
+        for degree in range(max(sizes), sum(sizes) + 1):
+            for positions in product(*(combinations(range(degree), s) for s in sizes)):
+                if set().union(*positions) != set(range(degree)):
+                    continue
+                factors = []
+                for f, (core, pos) in enumerate(zip(combo, positions)):
+                    if f < a:
+                        values = (zero,) + core + (full,)
+                        factors.append(tuple(values[sum(1 for i in pos if i < j)]
+                                             for j in range(degree + 1)))
+                    else:
+                        parts = [zero] * degree
+                        for level, i in enumerate(pos):
+                            parts[i] = core[level]
+                        factors.append(tuple(parts))
+                by_degree.setdefault(degree, []).append(tuple(factors))
+    return {
+        d: tuple(sorted(simps, key=lambda s: tuple(tuple(e.sort_key() for e in f) for f in s)))
+        for d, simps in sorted(by_degree.items())
+    }
 
 
 def activity(model, simplex) -> int:

@@ -13,6 +13,7 @@ from commonbasis.exactlin import (
     Matrix,
     NotSplit,
     Ring,
+    _snf_dense,
     all_subspaces,
     ambient_module,
     canonicalize,
@@ -416,3 +417,60 @@ def test_is_unimodular_agrees_with_the_determinant(case):
     det = _det(rows)
     expected = abs(det) == 1 if p == 0 else det % p != 0
     assert is_unimodular(Matrix.from_rows(ring, rows, n)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The dense Smith form on larger entries and shapes.
+# ---------------------------------------------------------------------------
+
+
+def _invariant_factors(diagonal: list[int]) -> list[int]:
+    """The Smith divisors of a diagonal matrix: (x, y) -> (gcd, lcm) on
+    every pair, zeros dropped, in increasing order."""
+    from math import gcd
+
+    ds = [abs(x) for x in diagonal if x]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
+
+
+@st.composite
+def _mixed_diagonals(draw):
+    """diag(d_1, .., d_k, 0, ..) in an m x n matrix mixed by row and column
+    operations, with its known divisors; pairs like 4, 6 make the pivot
+    fail to divide the rest of the block."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    diagonal = draw(st.lists(st.integers(-60, 60), min_size=min(m, n), max_size=min(m, n)))
+    rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    rows = _mix(rows, draw(_row_mixings(m)))
+    cols = _mix([list(c) for c in zip(*rows)], draw(_row_mixings(n)))
+    return [list(r) for r in zip(*cols)], n, _invariant_factors(diagonal)
+
+
+@st.composite
+def _large_matrices(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-10**4, 10**4), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return rows, n, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_large_matrices(), _mixed_diagonals()))
+def test_dense_snf_is_a_divisor_chain_of_the_right_product(case):
+    # returning at all shows that the culprit loop terminates
+    rows, n, expected = case
+    divisors, _ = _snf_dense(rows, n)
+    assert all(d > 0 for d in divisors)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+    assert len(divisors) == _rank(rows, n, 0)
+    if expected is not None:
+        assert divisors == expected
+    if len(rows) == n and len(divisors) == n:
+        prod = 1
+        for d in divisors:
+            prod *= d
+        assert prod == abs(_det(rows))

@@ -1,7 +1,7 @@
 
 import pytest
 
-from commonbasis.exactlin import GF, ambient_module, span
+from commonbasis.exactlin import GF, ambient_module, span, zero_module
 from commonbasis.simpmodel import (
     ModelError,
     _shuffles,
@@ -13,7 +13,7 @@ from commonbasis.simpmodel import (
     ordered_decompositions,
     tensor_chain_complex,
 )
-from helpers import activity, reference_model_complex
+from helpers import activity, reference_model_complex, reference_model_simplices
 
 
 def sizes(model):
@@ -43,13 +43,36 @@ def test_rank_zero_model_is_unit():
     m = d_model(1, 0, 0, 5)
     assert sizes(m) == {0: 1}
     assert m.homology().betti(0) == 1
+    zero = zero_module(GF(2), 0)
+    assert tuple(d_model(1, 1, 0, 2).simplices[0]) == (((zero,), ()),)
     with pytest.raises(ModelError):
         d_model(1, 0, -1, 5)
 
 
-# Every model class the suite builds.
+# Every model class the suite builds, with tor(2, 3)'s two-factor model and
+# the one-factor models of rank 3 over F_3.
 MODEL_CLASSES = [(1, 0, 2, 2), (1, 1, 2, 2), (2, 0, 2, 2), (0, 2, 2, 2),
-                 (1, 0, 2, 3), (1, 0, 3, 2), (0, 1, 3, 2), (1, 1, 2, 3)]
+                 (1, 0, 2, 3), (1, 0, 3, 2), (0, 1, 3, 2), (1, 1, 2, 3),
+                 (2, 0, 2, 3), (1, 0, 3, 3), (0, 1, 3, 3)]
+
+
+def test_decoded_view_matches_the_submodule_enumeration():
+    for a, b, n, p in MODEL_CLASSES:
+        m = d_model(a, b, n, p)
+        assert sizes(m) == {d: len(codes) for d, codes in m.codes.items()}
+        assert m._decoded == {}, (a, b, n, p)  # lengths are read from the codes
+        want = reference_model_simplices(a, b, n, p)
+        assert list(m.simplices) == list(want), (a, b, n, p)
+        for d, simps in want.items():
+            assert tuple(m.simplices[d]) == simps, (a, b, n, p, d)
+            assert m.index[d] == {s: i for i, s in enumerate(simps)}, (a, b, n, p, d)
+
+
+def test_model_cap_is_checked_per_simplex():
+    total = sum(sizes(d_model(1, 1, 2, 2)).values())
+    with pytest.raises(ModelError):
+        d_model(1, 1, 2, 2, max_simplices=total - 1)
+    assert sum(sizes(d_model(1, 1, 2, 2, max_simplices=total)).values()) == total
 
 
 def test_faces_hit_basepoint_at_the_ends():
