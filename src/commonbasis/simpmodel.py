@@ -152,17 +152,20 @@ class _DecodedDegree(Sequence):
 class SemiSimplicialModel:
     """Degreewise-finite collection of the nondegenerate non-basepoint
     diagonal simplices, with face maps and normalized chains.  ``codes``
-    holds the simplices as integer codes; ``simplices`` and ``index`` are
-    their ``Submodule`` view, decoded when first read."""
+    holds the simplices as integer codes, put in deterministic order at
+    construction; ``simplices`` and ``index`` are their ``Submodule`` view,
+    decoded when first read."""
 
     a: int
     b: int
     n: int
     ring: Ring
-    codes: dict  # degree -> tuple[code, ...] in deterministic order
+    codes: dict  # degree -> codes (core ids, then masks)
 
     def __post_init__(self):
         spread = _spreader(self.a, self.b, self.n, self.ring.p)
+        object.__setattr__(self, "codes", {
+            d: _sorted_codes(codes, d, spread) for d, codes in sorted(self.codes.items())})
         decoded: dict[int, tuple[ModelSimplex, ...]] = {}
         object.__setattr__(self, "_decoded", decoded)
         object.__setattr__(self, "simplices", {
@@ -348,7 +351,7 @@ def _decode(codes: tuple, degree: int, spread) -> tuple[ModelSimplex, ...]:
     return tuple(out)
 
 
-def _sorted_codes(codes: list, degree: int, spread) -> tuple:
+def _sorted_codes(codes: Sequence, degree: int, spread) -> tuple:
     """The codes in the order of their simplices' keys, the tuple over
     factors of the entries' flattened bases: each factor's distinct
     (core, mask) pairs are ranked by the key of their spread entries, and a
@@ -434,9 +437,7 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
                 count += 1
                 if count > max_simplices:
                     raise ModelError(f"model exceeds {max_simplices} simplices")
-    spread = _spreader(a, b, n, p)
-    codes = {d: _sorted_codes(lst, d, spread) for d, lst in sorted(by_degree.items())}
-    return SemiSimplicialModel(a, b, n, ring, codes)
+    return SemiSimplicialModel(a, b, n, ring, by_degree)
 
 
 # Distinct keys: 8 over the test suite, 3 over tor(3, 2).
