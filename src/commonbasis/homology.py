@@ -9,6 +9,12 @@ All homology is computed over the integers (betti numbers and torsion
 coefficients), never through a field shortcut: torsion in any of the groups
 this package verifies would be a finding, not an inconvenience.
 
+Every boundary (and every chain map of ``simpmodel``) is stored by column,
+as ``{col: {row: value}}``: assembly writes one column per basis element,
+and products such as the boundary-squared check are taken column by
+column.  The Smith normal form alone reads ``{(row, col): value}``; that
+copy is made as a boundary is cleared.
+
 The Smith normal form engine eliminates unit pivots chosen by a minimal
 fill-in (Markowitz) heuristic with deterministic tie-breaking, then hands
 any residual matrix without unit entries to an exact gcd-pivot phase.
@@ -156,25 +162,19 @@ def _normalize_chain(values: list[int]) -> list[int]:
     return ds
 
 
-def _columns(entries: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
-    """The entries of a sparse matrix grouped by column, as ``col -> [(row,
-    value)]`` in entry order."""
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in entries.items():
-        cols.setdefault(c, []).append((r, v))
-    return cols
-
-
-def _compose(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """The nonzero entries of the sparse product ``a @ b``; every entry is
-    summed in full."""
-    a_cols = _columns(a)
-    out: dict[tuple[int, int], int] = {}
-    for (k, j), v in b.items():
-        for r, w in a_cols.get(k, ()):
-            key = (r, j)
-            out[key] = out.get(key, 0) + v * w
-    return {k: v for k, v in out.items() if v}
+def _compose(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The nonzero columns of the sparse product ``a @ b``, both factors and
+    the result stored by column; every entry is summed in full."""
+    out: dict[int, dict[int, int]] = {}
+    for j, b_col in b.items():
+        acc: dict[int, int] = {}
+        for k, v in b_col.items():
+            for r, w in a.get(k, {}).items():
+                acc[r] = acc.get(r, 0) + v * w
+        column = {r: x for r, x in acc.items() if x}
+        if column:
+            out[j] = column
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,24 +185,32 @@ def _compose(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> di
 class ChainComplex:
     """A bounded complex of finitely generated free abelian groups.
 
-    ``sizes`` maps degree to basis size; ``boundaries[d]`` holds the entries
-    of the map from degree d to degree d-1 as ``{(row, col): value}``.
-    The composite of consecutive boundaries is checked to vanish.
+    ``sizes`` maps degree to basis size; ``boundaries[d]`` holds the map
+    from degree d to degree d-1 by column, as ``{col: {row: value}}``.
+    Zero entries and all-zero columns are dropped, every row and column is
+    checked to be in range, and the composite of consecutive boundaries is
+    checked to vanish.
     """
 
-    def __init__(self, sizes: dict[int, int], boundaries: dict[int, dict[tuple[int, int], int]]):
+    def __init__(self, sizes: dict[int, int], boundaries: dict[int, dict[int, dict[int, int]]]):
         self.sizes = {d: s for d, s in sizes.items() if s}
         self.boundaries = {}
-        for d, entries in boundaries.items():
-            entries = {rc: v for rc, v in entries.items() if v}
-            if not entries:
+        for d, columns in boundaries.items():
+            kept = {}
+            for c, column in columns.items():
+                if not all(column.values()):
+                    column = {r: v for r, v in column.items() if v}
+                if column:
+                    kept[c] = column
+            if not kept:
                 continue
-            if self.sizes.get(d, 0) == 0 or self.sizes.get(d - 1, 0) == 0:
+            nrows, ncols = self.sizes.get(d - 1, 0), self.sizes.get(d, 0)
+            if nrows == 0 or ncols == 0:
                 raise HomologyError(f"boundary in degree {d} without matching basis sizes")
-            for (r, c) in entries:
-                if not (0 <= r < self.sizes[d - 1] and 0 <= c < self.sizes[d]):
-                    raise HomologyError(f"boundary entry out of range in degree {d}")
-            self.boundaries[d] = entries
+            if min(kept) < 0 or max(kept) >= ncols or any(
+                    min(column) < 0 or max(column) >= nrows for column in kept.values()):
+                raise HomologyError(f"boundary entry out of range in degree {d}")
+            self.boundaries[d] = kept
         self._check_dd_zero()
         self._divisor_cache: dict[int, list[int]] = {}
         # unit-phase pivot columns of the latest reduced boundaries, kept
@@ -248,10 +256,11 @@ class ChainComplex:
                 break
             if e in self._divisor_cache:
                 continue
-            entries = self.boundaries[e]
-            cleared = self._unit_pivots.pop(e - 1, None)
-            if cleared:
-                entries = {rc: v for rc, v in entries.items() if rc[0] not in cleared}
+            # snf_divisors takes {(row, col): value}; the rows to clear
+            # are left out of that copy
+            cleared = self._unit_pivots.pop(e - 1, ())
+            entries = {(r, c): v for c, column in self.boundaries[e].items()
+                       for r, v in column.items() if r not in cleared}
             pivots: list[int] = []
             self._divisor_cache[e] = (
                 snf_divisors(entries, self.size(e - 1), self.size(e), pivots) if entries else []
@@ -355,20 +364,22 @@ def assemble(index: dict[int, dict], faces: Callable[[int, Any], Iterable[tuple[
     of ``coefficient * face`` over the pairs of ``faces(d, e)``.  Every face
     must be indexed one degree down: an unindexed face raises
     :class:`HomologyError`, it is never dropped."""
-    boundaries: dict[int, dict[tuple[int, int], int]] = {}
+    boundaries: dict[int, dict[int, dict[int, int]]] = {}
     for d, elements in index.items():
         lower = index.get(d - 1, {})
-        entries: dict[tuple[int, int], int] = {}
+        columns: dict[int, dict[int, int]] = {}
         for element, col in elements.items():
+            column: dict[int, int] = {}
             for face, coefficient in faces(d, element):
                 row = lower.get(face)
                 if row is None:
                     raise HomologyError(
                         f"a face of basis element {col} in degree {d} is not indexed one degree down")
-                key = (row, col)
-                entries[key] = entries.get(key, 0) + coefficient
-        if entries:
-            boundaries[d] = entries
+                column[row] = column.get(row, 0) + coefficient
+            if column:
+                columns[col] = column
+        if columns:
+            boundaries[d] = columns
     return ChainComplex({d: len(elements) for d, elements in index.items()}, boundaries)
 
 

@@ -76,7 +76,7 @@ from .exactlin import (
     span,
     zero_module,
 )
-from .homology import ChainComplex, HomologyProfile, _columns, _compose, assemble, chains, homology
+from .homology import ChainComplex, HomologyProfile, _compose, assemble, chains, homology
 
 
 class ModelError(Exception):
@@ -249,16 +249,15 @@ def _l_cores(n: int, p: int) -> tuple[tuple[Submodule, ...], ...]:
     return tuple(chains_out)
 
 
-def ordered_decompositions(n: int, p: int, length: int, within: Submodule | None = None) -> list[tuple[Submodule, ...]]:
+def ordered_decompositions(n: int, p: int, length: int) -> list[tuple[Submodule, ...]]:
     """Ordered tuples of `length` nonzero subspaces whose internal direct sum
-    is `within` (the full space by default)."""
-    ring = GF(p)
-    target = within if within is not None else ambient_module(ring, n)
-    if target.rank == 0:
+    is F_p^n."""
+    if n == 0:
         return [()] if length == 0 else []
     if length == 0:
         return []
-    subs = [s for s in all_subspaces(n, p, 1) if s <= target]
+    target = ambient_module(GF(p), n)
+    subs = all_subspaces(n, p, 1)
     out: list[tuple[Submodule, ...]] = []
 
     def rec(remaining: Submodule, parts_left: int, acc: tuple[Submodule, ...]):
@@ -517,15 +516,13 @@ def tensor_chain_complex(cx: ChainComplex, cy: ChainComplex) -> tuple[ChainCompl
     for d in pairs:
         pairs[d].sort()
     index = {d: {t: k for k, t in enumerate(lst)} for d, lst in pairs.items()}
-    x_cols = {i: _columns(entries) for i, entries in cx.boundaries.items()}
-    y_cols = {j: _columns(entries) for j, entries in cy.boundaries.items()}
 
     def faces(d: int, pair: tuple[int, int, int]):
         i, xi, yj = pair
-        for r, v in x_cols.get(i, {}).get(xi, ()):
+        for r, v in cx.boundaries.get(i, {}).get(xi, {}).items():
             yield (i - 1, r, yj), v
         sign = (-1) ** i
-        for r, v in y_cols.get(d - i, {}).get(yj, ()):
+        for r, v in cy.boundaries.get(d - i, {}).get(yj, {}).items():
             yield (i, xi, r), sign * v
 
     return assemble(index, faces), index
@@ -550,7 +547,7 @@ def _apply_degens(simplex: ModelSimplex, positions: Iterable[int], a: int, facto
     return tuple(out)
 
 
-def _combine(x: ModelSimplex, y: ModelSimplex, a: int, factors: int, m: int, n: int) -> ModelSimplex:
+def _combine(x: ModelSimplex, y: ModelSimplex, factors: int, m: int, n: int) -> ModelSimplex:
     out = []
     for f in range(factors):
         xs, ys = x[f], y[f]
@@ -575,7 +572,7 @@ class BasedChainMap:
 
     domain: ChainComplex
     codomain: ChainComplex
-    matrices: dict  # degree -> {(codomain row, domain col): value}
+    matrices: dict  # degree -> {domain col: {codomain row: value}}, as boundaries are stored
 
     def __post_init__(self):
         for d, mat in self.matrices.items():
@@ -588,10 +585,10 @@ class BasedChainMap:
     def apply(self, degree: int, vector: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
         mat = self.matrices.get(degree, {})
-        for (r, c), v in mat.items():
-            x = vector.get(c, 0)
+        for c, x in vector.items():
             if x:
-                out[r] = out.get(r, 0) + v * x
+                for r, v in mat.get(c, {}).items():
+                    out[r] = out.get(r, 0) + v * x
         return {r: v for r, v in out.items() if v}
 
 
@@ -610,25 +607,27 @@ def mu_chain(a: int, b: int, m: int, n: int, p: int) -> tuple[BasedChainMap, dic
     zero_n = zero_module(GF(p), n)
     factors = a + b
 
-    matrices: dict[int, dict[tuple[int, int], int]] = {}
+    matrices: dict[int, dict[int, dict[int, int]]] = {}
     for d, idx in pair_index.items():
-        entries: dict[tuple[int, int], int] = {}
+        columns: dict[int, dict[int, int]] = {}
         target_index = mz.index.get(d, {})
         for (i, xi, yj), col in idx.items():
             x = mx.simplices[i][xi]
             y = my.simplices[d - i][yj]
+            acc: dict[int, int] = {}
             for alpha, beta, sign in _shuffles(i, d - i):
                 xs = _apply_degens(x, beta, a, factors, zero_m)
                 ys = _apply_degens(y, alpha, a, factors, zero_n)
-                combined = _combine(xs, ys, a, factors, m, n)
+                combined = _combine(xs, ys, factors, m, n)
                 row = target_index.get(combined)
                 if row is None:
                     raise ModelError("shuffle product left the target model")
-                key = (row, col)
-                entries[key] = entries.get(key, 0) + sign
-        entries = {k: v for k, v in entries.items() if v}
-        if entries:
-            matrices[d] = entries
+                acc[row] = acc.get(row, 0) + sign
+            column = {r: v for r, v in acc.items() if v}
+            if column:
+                columns[col] = column
+        if columns:
+            matrices[d] = columns
     return BasedChainMap(tensor, cz, matrices), pair_index, mz
 
 

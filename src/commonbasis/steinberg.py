@@ -1,8 +1,10 @@
 """The Steinberg monoid, its bar complex, and Koszulness checks.
 
 `St_n(F_p)` is realized as the top reduced homology of the rank-n flag model
-(one lattice factor), which is free; a fixed integer cycle basis plus an
-exact solver expresses any top-degree cycle in that basis.  The
+(one lattice factor), which is free.  Its cycles are kept as a canonical
+submodule of Z^(top simplices), the kernel of the top boundary in row HNF,
+and ``exactlin.coordinates_in`` expresses any top-degree cycle in that
+basis.  The
 multiplication pushes tensor products of cycles through the chain-level
 shuffle product and transports arbitrary internal summands to standard
 coordinate blocks along their canonical bases.
@@ -32,9 +34,9 @@ from .exactlin import (
     ZZ,
     Matrix,
     Submodule,
-    _hnf,
     coordinates_in,
     left_kernel,
+    span,
 )
 from .homology import ChainComplex, HomologyProfile, assemble, chains, homology
 from .simpmodel import (
@@ -113,38 +115,6 @@ def bar_euler(n: int, p: int, rank_fn: Callable[[int], int] | None = None) -> in
 # ---------------------------------------------------------------------------
 
 
-class _RowSolver:
-    """Solve integer x with x @ rows == target, exactly."""
-
-    def __init__(self, rows: Sequence[Sequence[int]], width: int):
-        self.width = width
-        self.rows = [tuple(r) for r in rows]
-        aug = [list(r) + [1 if j == i else 0 for j in range(len(rows))] for i, r in enumerate(rows)]
-        full, self.pivots = _hnf(aug, width)
-        self.rank = len(self.pivots)
-        self.h = [row[:width] for row in full[:self.rank]]
-        self.t = [row[width:] for row in full[:self.rank]]
-
-    def solve(self, target: Sequence[int]) -> list[int] | None:
-        v = list(target)
-        q = [0] * self.rank
-        for i, row in enumerate(self.h):
-            c = self.pivots[i]
-            if v[c] % row[c]:
-                return None
-            f = v[c] // row[c]
-            q[i] = f
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            return None
-        out = [0] * len(self.rows)
-        for i, f in enumerate(q):
-            if f:
-                out = [a + f * b for a, b in zip(out, self.t[i])]
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class SteinbergModule:
     """Top homology of the rank-n flag model with a frozen cycle basis."""
@@ -152,14 +122,11 @@ class SteinbergModule:
     n: int
     p: int
     model: SemiSimplicialModel
-    cycles: tuple[tuple[int, ...], ...]  # basis cycles over top-degree simplices
-
-    def __post_init__(self):
-        object.__setattr__(self, "_solver", _RowSolver(self.cycles, self.top_size))
+    cycles: Submodule  # the top cycles over Z^top_size; basis rows in HNF
 
     @property
     def rank(self) -> int:
-        return len(self.cycles)
+        return self.cycles.rank
 
     @property
     def top_size(self) -> int:
@@ -167,7 +134,7 @@ class SteinbergModule:
 
     def express(self, cycle: Sequence[int]) -> list[int]:
         """Coefficients of a top-degree cycle in the frozen basis."""
-        coeffs = self._solver.solve(cycle)
+        coeffs = coordinates_in(self.cycles, cycle)
         if coeffs is None:
             raise SteinbergError("vector is not an integral combination of basis cycles")
         return coeffs
@@ -189,19 +156,12 @@ def _st_module(n: int, p: int) -> SteinbergModule:
     prof = model.homology()
     if prof.nonzero_degrees() != [n] or prof.has_torsion():
         raise SteinbergError(f"flag model homology is not concentrated and free: {prof}")
-    top = model.simplices.get(n, ())
-    boundary = model.chain_complex().boundaries.get(n)
-    if boundary is None:
-        cycles = tuple(
-            tuple(1 if i == j else 0 for j in range(len(top))) for i in range(len(top))
-        )
-    else:
-        width = model.chain_complex().size(n - 1)
-        rows = [[0] * width for _ in range(len(top))]
-        for (r, c), v in boundary.items():
-            rows[c][r] = v
-        ker = left_kernel(Matrix.from_rows(ZZ, rows, width))
-        cycles = tuple(tuple(row) for row in ker.entries)
+    cx = model.chain_complex()
+    top, width = cx.size(n), cx.size(n - 1)
+    # row c of the transposed boundary is column c of the boundary
+    columns = cx.boundaries.get(n, {})
+    rows = [[columns.get(c, {}).get(r, 0) for r in range(width)] for c in range(top)]
+    cycles = span(ZZ, top, left_kernel(Matrix.from_rows(ZZ, rows, width)).entries)
     mod = SteinbergModule(n, p, model, cycles)
     if mod.rank != prof.betti(n):
         raise SteinbergError("cycle basis size disagrees with the betti number")
@@ -230,8 +190,8 @@ def _block_product(a: int, b: int, p: int) -> dict[tuple[int, int], list[int]]:
     d = a + b
     idx = pair_index[d]
     size_z = mz.chain_complex().size(d)
-    for i, za in enumerate(sa.cycles):
-        for j, zb in enumerate(sb.cycles):
+    for i, za in enumerate(sa.cycles.basis):
+        for j, zb in enumerate(sb.cycles.basis):
             vec: dict[int, int] = {}
             for xi, xv in enumerate(za):
                 if not xv:

@@ -222,13 +222,15 @@ def reference_model_complex(model) -> ChainComplex:
         if d == 0:
             continue
         lower = model.index.get(d - 1, {})
-        entries = {}
+        columns = {}
         for j, s in enumerate(simps):
+            column = {}
             for i in range(d + 1):
                 face = model.face(s, i)
                 if face is None or activity(model, face) != (1 << (d - 1)) - 1:
                     continue
-                key = (lower[face], j)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-        boundaries[d] = entries
+                row = lower[face]
+                column[row] = column.get(row, 0) + (-1) ** i
+            columns[j] = column
+        boundaries[d] = columns
     return ChainComplex({d: len(s) for d, s in model.simplices.items()}, boundaries)

@@ -60,12 +60,26 @@ def test_homology_examples():
 
 def test_boundary_squared_checked():
     with pytest.raises(HomologyError):
-        ChainComplex({0: 1, 1: 1, 2: 1}, {1: {(0, 0): 1}, 2: {(0, 0): 1}})
+        ChainComplex({0: 1, 1: 1, 2: 1}, {1: {0: {0: 1}}, 2: {0: {0: 1}}})
+
+
+def test_chain_complex_validates_its_columns():
+    sizes = {0: 2, 1: 1}
+    for bad in [{1: {0: {2: 1}}}, {1: {0: {-1: 1}}},  # row out of range
+                {1: {1: {0: 1}}}, {1: {-1: {0: 1}}},  # column out of range
+                {2: {0: {0: 1}}}]:  # degree 2 has no basis
+        with pytest.raises(HomologyError):
+            ChainComplex(sizes, bad)
+    with pytest.raises(HomologyError):  # the degree below has no basis
+        ChainComplex({1: 1}, {1: {0: {0: 1}}})
+    # zero entries are dropped, then all-zero columns and boundaries
+    c = ChainComplex({0: 2, 1: 3}, {1: {0: {0: 1, 1: 0}, 1: {1: 0}, 2: {1: -1}}, 2: {0: {0: 0}}})
+    assert c.boundaries == {1: {0: {0: 1}, 2: {1: -1}}}
 
 
 def test_assemble_rejects_an_unindexed_face():
     index = {0: {"v": 0}, 1: {"e": 0}}
-    assert assemble(index, lambda d, e: [("v", 1)] if d == 1 else []).boundaries == {1: {(0, 0): 1}}
+    assert assemble(index, lambda d, e: [("v", 1)] if d == 1 else []).boundaries == {1: {0: {0: 1}}}
     with pytest.raises(HomologyError):
         assemble(index, lambda d, e: [("w", 1)] if d == 1 else [])
     with pytest.raises(HomologyError):
@@ -198,19 +212,25 @@ def test_solomon_tits_small():
 # ---------------------------------------------------------------------------
 
 
+def _entries(columns: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
+    """A matrix stored by column, as the ``{(row, col): value}`` entries
+    that ``snf_divisors`` takes."""
+    return {(r, c): v for c, column in columns.items() for r, v in column.items()}
+
+
 def _assert_clearing_exact(c: ChainComplex) -> int:
     """Compare cleared and uncleared divisors degree by degree; return the
     number of nonzero boundary rows that clearing had to drop."""
     dropped = 0
     for d in sorted(c.boundaries):
         full = c.boundaries[d]
-        assert c.boundary_divisors(d) == snf_divisors(full, c.size(d - 1), c.size(d)), d
+        assert c.boundary_divisors(d) == snf_divisors(_entries(full), c.size(d - 1), c.size(d)), d
         below = c.boundaries.get(d - 1)
         if below:
             pivots: list[int] = []
-            snf_divisors(below, c.size(d - 2), c.size(d - 1), pivots)
+            snf_divisors(_entries(below), c.size(d - 2), c.size(d - 1), pivots)
             cleared = set(pivots)
-            dropped += len({r for r, _ in full if r in cleared})
+            dropped += len({r for column in full.values() for r in column if r in cleared})
     return dropped
 
 
@@ -288,12 +308,17 @@ def _chain_pair(d1, b2, ops):
             row[j] -= f * row[i]
     lower = [[sum(d1[a][t] * u_inv[t][c] for t in range(r)) for c in range(m)] for a in range(k)]
     upper = [[sum(u[a][r + t] * b2[t][c] for t in range(s)) for c in range(q)] for a in range(m)]
-    sizes = {0: k, 1: m, 2: q}
-    boundaries = {
-        1: {(a, c): v for a, row in enumerate(lower) for c, v in enumerate(row) if v},
-        2: {(a, c): v for a, row in enumerate(upper) for c, v in enumerate(row) if v},
-    }
-    return sizes, boundaries
+    return {0: k, 1: m, 2: q}, {1: _columns_of(lower), 2: _columns_of(upper)}
+
+
+def _columns_of(dense):
+    """The nonzero columns of a dense matrix, as ``{col: {row: value}}``."""
+    columns = {}
+    for c in range(len(dense[0])):
+        column = {a: row[c] for a, row in enumerate(dense) if row[c]}
+        if column:
+            columns[c] = column
+    return columns
 
 
 def _dense_divisors(rows):
@@ -305,13 +330,14 @@ def _check_pair(d1, b2, ops) -> bool:
     residual went through the dense fallback."""
     sizes, boundaries = _chain_pair(d1, b2, ops)
     c = ChainComplex(sizes, boundaries)
-    full_lower = snf_divisors(boundaries[1], sizes[0], sizes[1]) if boundaries[1] else []
-    full_upper = snf_divisors(boundaries[2], sizes[1], sizes[2]) if boundaries[2] else []
+    lower, upper = _entries(boundaries[1]), _entries(boundaries[2])
+    full_lower = snf_divisors(lower, sizes[0], sizes[1]) if lower else []
+    full_upper = snf_divisors(upper, sizes[1], sizes[2]) if upper else []
     assert c.boundary_divisors(1) == full_lower == _dense_divisors(d1)
     assert c.boundary_divisors(2) == full_upper == _dense_divisors(b2)
     pivots: list[int] = []
-    if boundaries[1]:
-        snf_divisors(boundaries[1], sizes[0], sizes[1], pivots)
+    if lower:
+        snf_divisors(lower, sizes[0], sizes[1], pivots)
     return len(pivots) < len(full_lower)
 
 
@@ -321,10 +347,10 @@ def test_clearing_never_uses_dense_fallback_pivots():
     # rows of d_2 at columns 2 and 3 are (3, -2): dropping either one would
     # turn the divisor 1 into 2 or 3.
     sizes = {0: 2, 1: 4, 2: 2}
-    lower = {(0, 0): 1, (0, 1): 1, (1, 2): 2, (1, 3): 3}
-    upper = {(0, 0): 1, (1, 0): -1, (2, 1): 3, (3, 1): -2}
+    lower = {0: {0: 1}, 1: {0: 1}, 2: {1: 2}, 3: {1: 3}}
+    upper = {0: {0: 1, 1: -1}, 1: {2: 3, 3: -2}}
     pivots: list[int] = []
-    assert snf_divisors(lower, 2, 4, pivots) == [1, 1] and len(pivots) == 1
+    assert snf_divisors(_entries(lower), 2, 4, pivots) == [1, 1] and len(pivots) == 1
     c = ChainComplex(sizes, {1: lower, 2: upper})
     assert c.boundary_divisors(2) == [1, 1]
     assert c.boundary_divisors(1) == [1, 1]

@@ -57,6 +57,22 @@ def test_steinberg_ranks():
         st_module(4, 2)
 
 
+def test_steinberg_cycle_basis_is_read_back_by_express():
+    for (n, p) in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+        st = st_module(n, p)
+        boundary = st.model.chain_complex().boundaries.get(n, {})
+        for i, z in enumerate(st.cycles.basis):
+            image = {}
+            for c, x in enumerate(z):
+                for r, v in boundary.get(c, {}).items():
+                    image[r] = image.get(r, 0) + x * v
+            assert not any(image.values()), (n, p, i)
+            assert st.express(z) == [int(j == i) for j in range(st.rank)], (n, p, i)
+        assert st.cycles.rank == st_rank_classical(n, p)
+    with pytest.raises(SteinbergError):  # one top simplex has a nonzero boundary
+        st_module(2, 2).express([1] + [0] * (st_module(2, 2).top_size - 1))
+
+
 def test_bar_euler_examples():
     assert bar_euler(1, 5) == -1
     assert bar_euler(2, 2) == 4
