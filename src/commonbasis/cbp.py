@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactlin import (
+    GF,
     Matrix,
     Ring,
     Submodule,
@@ -109,8 +110,9 @@ def collection(members: Iterable[Submodule], ring: Ring | None = None, ambient: 
 # intersection of their element sets, a single AND; |U| = p^rank U, so the
 # rank is log_p of the popcount; and for e outside a subspace U, closing U
 # under adding every multiple of e gives U + <e>, of rank exactly rank U + 1.
-# So a sum or span is built from the zero vector by closing under each given
-# element that is not yet in it.
+# So a span is built from the zero vector, and a sum from its largest part,
+# by closing under each given element that is not yet in it.  A subspace is
+# encoded once per canonical basis (``_encode_bits``).
 # ---------------------------------------------------------------------------
 
 
@@ -168,7 +170,7 @@ class _FpBitsBackend:
         return mask
 
     def encode(self, sub: Submodule) -> int:
-        return self.sum_many([1 << sum(x * s for x, s in zip(row, self._pow)) for row in sub.basis])
+        return _encode_bits(self.p, self.ambient, sub.basis)
 
     def full(self) -> int:
         return self._full
@@ -180,7 +182,7 @@ class _FpBitsBackend:
         return a & b
 
     def sum_many(self, objs: Sequence[int]) -> int:
-        acc = 1
+        acc = max(objs, key=int.bit_count, default=1)
         for b in objs:
             while rest := b & ~acc:
                 v = (rest & -rest).bit_length() - 1
@@ -196,6 +198,17 @@ def _backend(ring: Ring, ambient: int):
     if ring.is_field and ring.p ** ambient <= _FP_BITS_CAP:
         return _FpBitsBackend(ring.p, ambient)
     return _GenericBackend(ring, ambient)
+
+
+@lru_cache(maxsize=1 << 12)
+def _encode_bits(p: int, ambient: int, basis: tuple[tuple[int, ...], ...]) -> int:
+    """The span of ``basis``: the zero vector closed under each row not in it."""
+    backend = _backend(GF(p), ambient)
+    acc = 1
+    for row in basis:
+        if not acc >> sum(x * s for x, s in zip(row, backend._pow)) & 1:
+            acc = backend._close(acc, row)
+    return acc
 
 
 def _check_cap(k: int, cap: int) -> None:

@@ -341,6 +341,20 @@ def _clique_complex(
     max_simplices: int = DEFAULT_MAX_SIMPLICES,
     max_dim: int | None = None,
 ) -> SimplicialComplex:
+    """The cliques of ``edge`` on ``labels`` that ``accept`` admits, grown
+    level by level from each simplex's common neighbours above its last
+    vertex.
+
+    ``accept`` must be hereditary: a face of an accepted simplex is
+    accepted.  Both builders' tests are, since a common basis of a
+    collection is also one of every subcollection.  So a candidate with a
+    facet that is not a simplex would be rejected by ``accept`` too, and the
+    facet filter below changes no answer.  It stays because a set lookup is
+    cheaper than a new decision: the edge graph of
+    ``common_basis_complex(3, 3)`` is complete, and without the filter that
+    build makes 31,433 decisions instead of 7,605 and takes 2.7 s instead of
+    0.67 s (2-vCPU VM, Python 3.11).  The closure check of
+    :class:`SimplicialComplex` stays as the independent guard."""
     n = len(labels)
     vertices = [i for i in range(n) if accept is None or accept((i,))]
     adj = [0] * n
@@ -459,11 +473,26 @@ def splitting_to_st_simplex(parts: Sequence[Submodule]) -> tuple[tuple[Submodule
 # ---------------------------------------------------------------------------
 
 
-def _membership_test(ring: Ring, n: int, sigma_members: tuple[Submodule, ...]):
-    def test(members: Iterable[Submodule]) -> bool:
-        mems = tuple(dict.fromkeys(list(members) + list(sigma_members)))
-        return has_cbp_ie(Collection(ring, n, mems, trusted=True))
-    return test
+def _membership_test(ring: Ring, n: int, sigma_members: tuple[Submodule, ...] = ()):
+    """One build's decisions: ``mask`` numbers its distinct subspaces, and
+    ``test(m)`` decides the members in mask ``m`` with sigma's, once per mask.
+    Exact, as a decision depends only on the set of member bases, and
+    canonical bases make subspaces and bases one to one."""
+    index: dict[Submodule, int] = {}
+    decided: dict[int, bool] = {}
+
+    def mask(members: Iterable[Submodule]) -> int:
+        return sum({1 << index.setdefault(s, len(index)) for s in members})
+
+    sigma = mask(sigma_members)
+
+    def test(m: int) -> bool:
+        m |= sigma
+        if m not in decided:
+            mems = tuple(s for s, i in index.items() if m >> i & 1)
+            decided[m] = has_cbp_ie(Collection(ring, n, mems, trusted=True))
+        return decided[m]
+    return mask, test
 
 
 def common_basis_complex(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICES,
@@ -477,15 +506,16 @@ def common_basis_complex(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICE
     if len(subs) > max_vertices:
         raise CapExceeded(f"{len(subs)} vertices exceeds the cap {max_vertices}")
     labels = sorted(subs, key=label_key)
-    test = _membership_test(ring, n, ())
+    mask, test = _membership_test(ring, n)
+    bit = [mask([s]) for s in labels]
 
     def edge(i: int, j: int) -> bool:
-        return test([labels[i], labels[j]])
+        return test(bit[i] | bit[j])
 
     def accept(simplex: tuple[int, ...]) -> bool:
         if len(simplex) <= 2:
             return True  # edges already tested pairwise
-        return test([labels[i] for i in simplex])
+        return test(sum(bit[i] for i in simplex))  # distinct labels, distinct bits
 
     return _clique_complex(labels, edge, accept, max_simplices=max_simplices,
                            max_dim=max_dim)
@@ -506,9 +536,10 @@ def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
     if sigma is not None and sigma.members:
         if sigma.ring != ring or sigma.ambient != n:
             raise ComplexError("relative collection lives in the wrong ambient space")
-        if not has_cbp_ie(sigma):
-            raise ComplexError("relative collection must itself have a common basis")
         sigma_members = sigma.members
+    mask, test = _membership_test(ring, n, sigma_members)
+    if sigma_members and not test(0):
+        raise ComplexError("relative collection must itself have a common basis")
 
     subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
     # Splitting pairs are only vertices of slots a..a+b-1.
@@ -525,8 +556,7 @@ def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
         labels.extend(((slot, pq) if tagged else pq) for pq in sorted(pairs, key=label_key))
     if len(labels) > max_vertices:
         raise CapExceeded(f"{len(labels)} vertices exceeds the cap {max_vertices}")
-    test = _membership_test(ring, n, sigma_members)
-    members_of = [label_members(lbl) for lbl in labels]
+    mask_of = [mask(label_members(lbl)) for lbl in labels]
 
     def _slot_payload(i: int):
         return labels[i] if not tagged else labels[i][1]
@@ -544,17 +574,15 @@ def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
         return _st_less(pi, pj) or _st_less(pj, pi)
 
     def edge(i: int, j: int) -> bool:
-        return slot_compatible(i, j) and test(members_of[i] + members_of[j])
+        return slot_compatible(i, j) and test(mask_of[i] | mask_of[j])
 
     def accept(simplex: tuple[int, ...]) -> bool:
-        if len(simplex) == 1:
-            return test(members_of[simplex[0]])
         if len(simplex) == 2:
             return True
-        mems: list[Submodule] = []
+        m = 0
         for i in simplex:
-            mems.extend(members_of[i])
-        return test(mems)
+            m |= mask_of[i]
+        return test(m)
 
     return _clique_complex(labels, edge, accept, max_simplices=max_simplices,
                            max_dim=max_dim)

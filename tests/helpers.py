@@ -1,5 +1,6 @@
 """Shared test fixtures: seeded random generators over Z, the
-self-contained brute-force common-basis oracle over prime fields, and
+self-contained brute-force common-basis oracle over prime fields, reference
+builders of the common basis complex and the higher buildings, and
 reference enumerations and assemblies of models.
 
 The oracle deliberately reimplements its linear algebra from scratch
@@ -13,13 +14,16 @@ import random
 from itertools import combinations, product
 
 from commonbasis.cbp import Collection, has_cbp_ie
+from commonbasis.complexes import _clique_complex, _st_less, label_key, label_members
 from commonbasis.exactlin import (
     GF,
     ZZ,
     Matrix,
     Submodule,
     ambient_module,
+    all_subspaces,
     canonicalize,
+    contains,
     left_kernel,
     span,
     zero_module,
@@ -156,6 +160,56 @@ def brute_force_cbp(members, n: int, p: int) -> bool:
         if all(es in fam["spans"] or len(es) == 1 for es in element_sets):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference builders: every decision is handed the list of the simplex's
+# submodules, deduplicated in order, with no per-build memo.
+# ---------------------------------------------------------------------------
+
+
+def reference_membership_test(ring, n: int, sigma_members=()):
+    def test(members) -> bool:
+        mems = tuple(dict.fromkeys(list(members) + list(sigma_members)))
+        return has_cbp_ie(Collection(ring, n, mems, trusted=True))
+    return test
+
+
+def reference_common_basis_complex(n: int, p: int):
+    labels = sorted(all_subspaces(n, p, 1, n - 1), key=label_key)
+    test = reference_membership_test(GF(p), n)
+    return _clique_complex(labels, lambda i, j: test([labels[i], labels[j]]),
+                           lambda s: len(s) <= 2 or test([labels[i] for i in s]))
+
+
+def reference_higher_tits(a: int, b: int, n: int, p: int, sigma=None):
+    """The higher building relative to ``sigma``, which must have a common
+    basis, labelled as ``complexes.higher_tits`` labels it."""
+    subs = all_subspaces(n, p, 1, n - 1)
+    pairs = [(x, y) for x in subs for y in subs if x.rank + y.rank == n and (x & y).is_zero]
+    tagged = a + b > 1
+    labels = []
+    for slot in range(a + b):
+        payloads = sorted(subs if slot < a else pairs, key=label_key)
+        labels.extend((slot, x) if tagged else x for x in payloads)
+    test = reference_membership_test(GF(p), n, sigma.members if sigma is not None else ())
+    members_of = [label_members(lbl) for lbl in labels]
+
+    def comparable(i: int, j: int) -> bool:
+        (si, x), (sj, y) = (labels[i], labels[j]) if tagged else ((0, labels[i]), (0, labels[j]))
+        if si != sj:
+            return True
+        if si < a:
+            return x != y and (contains(x, y) or contains(y, x))
+        return _st_less(x, y) or _st_less(y, x)
+
+    def edge(i: int, j: int) -> bool:
+        return comparable(i, j) and test(members_of[i] + members_of[j])
+
+    def accept(simplex) -> bool:
+        return len(simplex) == 2 or test([m for i in simplex for m in members_of[i]])
+
+    return _clique_complex(labels, edge, accept)
 
 
 # ---------------------------------------------------------------------------

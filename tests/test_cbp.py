@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +312,15 @@ def _random_field_collection(rng: random.Random, n: int, p: int) -> Collection:
     return Collection(ring, n, tuple(dict.fromkeys(members)), trusted=True)
 
 
+def _element_bits(sub, p: int, n: int) -> int:
+    """The element set of ``sub``, every combination of its basis rows, as
+    a bitset with vector v at index sum_j v_j p^j."""
+    vectors = {(0,) * n}
+    for row in sub.basis:
+        vectors = {tuple((x + c * r) % p for x, r in zip(v, row)) for v in vectors for c in range(p)}
+    return sum(1 << sum(x * p ** j for j, x in enumerate(v)) for v in vectors)
+
+
 def test_fp_bits_backend_matches_submodule_operations():
     classes = _admitted_classes()
     assert {(2, 12), (3, 7), (61, 2), (4093, 1)} <= set(classes)
@@ -321,13 +330,20 @@ def test_fp_bits_backend_matches_submodule_operations():
         backend = cbp._backend(ring, n)
         assert isinstance(backend, cbp._FpBitsBackend)
         assert backend.full() == backend.encode(ambient_module(ring, n))
+        assert backend.sum_many([]) == 1
         for _ in range(3 if n > 1 else 1):
             members = _random_field_collection(rng, n, p).members
             enc = [backend.encode(m) for m in members]
+            # the memoised encoding is the element set, on a hit as on a miss
+            assert [backend.encode(m) for m in members] == enc
+            assert enc == [_element_bits(m, p, n) for m in members]
             assert [backend.rank(e) for e in enc] == [m.rank for m in members]
             assert backend.intersect(enc[0], enc[-1]) == backend.encode(members[0] & members[-1])
             assert backend.sum_many(enc) == backend.encode(sum_of(members, ring, n))
             assert backend.rank(backend.sum_many(enc)) == sum_of(members, ring, n).rank
+            # a sum starts from its largest part, whatever the order of the parts
+            assert ({backend.sum_many(list(order)) for order in permutations(enc[:4])}
+                    == {backend.encode(sum_of(members[:4], ring, n))})
         if p ** n <= 243:
             # the encoding is the element set, indexed in base p
             m = members[0]
@@ -353,6 +369,23 @@ def test_fp_bits_decisions_match_generic_and_brute_force():
                 assert ie == brute_force_cbp(col.members, n, p), (p, n, col.members)
             answers[ie] += 1
     assert min(answers.values()) > 50
+
+
+def test_encode_memo_stays_bounded(monkeypatch):
+    # with room for two encodings and two decisions, encodings and decisions
+    # made after eviction equal the first ones
+    monkeypatch.setattr(cbp, "_encode_bits", lru_cache(maxsize=2)(cbp._encode_bits.__wrapped__))
+    monkeypatch.setattr(cbp, "_decide", lru_cache(maxsize=2)(cbp._decide.__wrapped__))
+    subs = all_subspaces(3, 2, 1, 2)
+    backend = cbp._backend(F2, 3)
+    codes = [backend.encode(s) for s in subs]
+    cols = [collection(list(m)) for m in combinations(subs, 3)][:40]
+    first = [has_cbp_ie(col) for col in cols]
+    assert cbp._encode_bits.cache_info().currsize == 2
+    assert cbp._encode_bits.cache_info().misses > len(subs)
+    assert [backend.encode(s) for s in subs] == codes == [_element_bits(s, 2, 3) for s in subs]
+    assert [has_cbp_ie(col) for col in cols] == first == [not ie_violations(col) for col in cols]
+    assert True in first and False in first
 
 
 def test_cbp_cache_stays_bounded(monkeypatch):

@@ -27,7 +27,7 @@ from commonbasis.complexes import (
 )
 from commonbasis.exactlin import GF, ZZ, all_subspaces, ambient_module, span
 from commonbasis.homology import chains, homology
-from helpers import brute_force_cbp
+from helpers import brute_force_cbp, reference_common_basis_complex, reference_higher_tits
 
 
 def test_tits_counts():
@@ -180,10 +180,40 @@ def test_decision_strategies_agree(monkeypatch):
         assert build(*args) == k
 
 
+def _sigmas(cb):
+    """Every 200th simplex of ``common_basis_complex(3, 3)`` as a collection."""
+    return [collection([cb.vertices[i] for i in s], ring=GF(3), ambient=3)
+            for s in sorted(cb.simplex_set(), key=lambda s: (len(s), s))[::200]]
+
+
+def test_mask_keyed_builders_match_the_member_list_reference():
+    for n, p in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        assert common_basis_complex(n, p) == reference_common_basis_complex(n, p)
+    for args in [(2, 0, 2, 2), (1, 1, 2, 3), (2, 0, 3, 2)]:
+        assert higher_tits(*args) == reference_higher_tits(*args)
+    for sigma in _sigmas(common_basis_complex(3, 3)):
+        assert higher_tits(1, 0, 3, 3, sigma) == reference_higher_tits(1, 0, 3, 3, sigma)
+
+
+def test_builders_decide_each_member_set_once(monkeypatch):
+    decided = []
+
+    def recording(col):
+        decided.append(frozenset(col.members))
+        return cbp.has_cbp_ie(col)
+
+    monkeypatch.setattr(complexes, "has_cbp_ie", recording)
+    line = span(GF(2), 2, [(1, 0)])
+    for build, args in [(common_basis_complex, (3, 2)), (higher_tits, (2, 0, 2, 2)),
+                        (higher_tits, (1, 0, 2, 2, collection([line])))]:
+        decided.clear()
+        build(*args)
+        assert decided and len(set(decided)) == len(decided), (build.__name__, args)
+
+
 def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
     cb = common_basis_complex(3, 3)
-    sigmas = [collection([cb.vertices[i] for i in s], ring=GF(3), ambient=3)
-              for s in sorted(cb.simplex_set(), key=lambda s: (len(s), s))[::200]]
+    sigmas = _sigmas(cb)
 
     def build_all():
         cbp._decide.cache_clear()

@@ -23,8 +23,9 @@ def _memos() -> dict:
 
 def test_every_module_memo_is_a_bounded_lru_cache():
     memos = _memos()
-    assert {"commonbasis.cbp._decide", "commonbasis.exactlin.GF",
-            "commonbasis.simpmodel._model", "commonbasis.steinberg._st_module"} <= set(memos)
+    assert {"commonbasis.cbp._decide", "commonbasis.cbp._encode_bits",
+            "commonbasis.exactlin.GF", "commonbasis.simpmodel._model",
+            "commonbasis.steinberg._st_module"} <= set(memos)
     for name, memo in memos.items():
         assert memo.cache_parameters()["maxsize"] is not None, name
     for mod in _modules():
