@@ -247,9 +247,11 @@ def _violations(col: Collection, backend, first_only: bool) -> list[dict]:
     table, ranks = _intersection_masks(col, backend)
     expected = _expected_coranks(ranks, k)
     out = []
+    bits = [1 << i for i in range(k)]
     for s in range(1 << k):
-        parts = [table[s | (1 << i)] for i in range(k) if not s & (1 << i)]
-        w = backend.sum_many(parts)
+        parts = [table[s | b] for b in bits if not s & b]
+        # every part lies in U_S, so a part equal to U_S is the whole sum
+        w = table[s] if table[s] in parts else backend.sum_many(parts)
         got = backend.rank(w)
         if got != expected[s]:
             bad = {"kind": "rank", "got": got, "want": expected[s]}

@@ -352,8 +352,8 @@ def _clique_complex(
     facet filter below changes no answer.  It stays because a set lookup is
     cheaper than a new decision: the edge graph of
     ``common_basis_complex(3, 3)`` is complete, and without the filter that
-    build makes 31,433 decisions instead of 7,605 and takes 2.7 s instead of
-    0.67 s (2-vCPU VM, Python 3.11).  The closure check of
+    build makes 31,433 decisions instead of 7,605 and takes 1.9-3.1 s instead
+    of 0.7-0.9 s (2-vCPU VM, Python 3.11).  The closure check of
     :class:`SimplicialComplex` stays as the independent guard."""
     n = len(labels)
     vertices = [i for i in range(n) if accept is None or accept((i,))]

@@ -355,6 +355,44 @@ def test_fp_bits_backend_matches_submodule_operations():
         assert isinstance(cbp._backend(GF(p), n), cbp._GenericBackend)
 
 
+def _violations_by_definition(col: Collection) -> list[dict]:
+    """``ie_violations`` from the definition, by submodule operations alone:
+    for every subset S the sum of U_S & U_i over i not in S has rank
+    sum over T > S of (-1)^(|T - S| + 1) rank U_T, and over Z is a summand."""
+    ring, n, k = col.ring, col.ambient, len(col.members)
+    meet = [ambient_module(ring, n)]
+    for t in range(1, 1 << k):
+        low = (t & -t).bit_length() - 1
+        meet.append(meet[t & (t - 1)] & col.members[low])
+    out = []
+    for s in range(1 << k):
+        want = sum((-1) ** (bin(t ^ s).count("1") + 1) * meet[t].rank
+                   for t in range(1 << k) if t & s == s and t != s)
+        w = sum_of([meet[s | 1 << i] for i in range(k) if not s >> i & 1], ring, n)
+        bad = ({"kind": "rank", "got": w.rank, "want": want} if w.rank != want
+               else {"kind": "split"} if not is_split(w) else None)
+        if bad:
+            out.append({"subset": tuple(i + 1 for i in range(k) if s >> i & 1), **bad})
+    return out
+
+
+def test_ie_violations_match_the_definition():
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        members = [random_split_submodule(rng, n) for _ in range(rng.randint(1, 4))]
+        cols = [collection(members, ring=ZZ, ambient=n),
+                _random_field_collection(rng, n, rng.choice([2, 3, 5]))]
+        for col in cols:
+            got = ie_violations(col)
+            assert got == _violations_by_definition(col), col.members
+            assert has_cbp_ie(col) == (not got)
+            kinds |= {(col.ring.p, v["kind"]) for v in got} | {(col.ring.p, not got)}
+    assert {(0, "rank"), (0, "split"), (0, True)} <= kinds
+    assert {(2, "rank"), (2, True), (3, "rank"), (3, True)} <= kinds
+
+
 def test_fp_bits_decisions_match_generic_and_brute_force():
     oracle_classes = {(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)}
     rng = random.Random(7)
