@@ -24,7 +24,7 @@ only defined for summands, and a non-split member is a caller bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .exactlin import (
@@ -33,7 +33,6 @@ from .exactlin import (
     Ring,
     Submodule,
     ambient_module,
-    contains,
     dump_submodule,
     is_split,
     is_unimodular,
@@ -90,6 +89,12 @@ class Collection:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _generic_table(self) -> tuple[list[Submodule], list[int]]:
+        """The generic backend's subset table, built on first use and kept
+        as long as the collection, since it depends only on fixed fields."""
+        return _build_table(self, _GenericBackend(self.ring, self.ambient))
+
 
 def collection(members: Iterable[Submodule], ring: Ring | None = None, ambient: int | None = None) -> Collection:
     mems = tuple(members)
@@ -102,7 +107,11 @@ def collection(members: Iterable[Submodule], ring: Ring | None = None, ambient: 
 
 # ---------------------------------------------------------------------------
 # Subset tables.  Subsets of [k] are bitmasks; U[mask] is the intersection of
-# the members indexed by the mask, U[0] the ambient module.
+# the members indexed by the mask, U[0] the ambient module.  A collection
+# builds its generic-backend table once (``Collection._generic_table``), and
+# every reader of that backend -- ``has_cbp_ie`` over Z, ``ie_violations``,
+# ``corank_table`` and ``common_basis_greedy`` -- shares it.  A bitset table
+# is built for each decision that misses the decision memo.
 #
 # Over F_p with p^n <= _FP_BITS_CAP a subspace is the bitmask of its elements,
 # vector v having index sum_j v_j p^j.  This is exact: a subspace is
@@ -217,6 +226,12 @@ def _check_cap(k: int, cap: int) -> None:
 
 
 def _intersection_masks(col: Collection, backend) -> tuple[list, list[int]]:
+    if isinstance(backend, _GenericBackend):
+        return col._generic_table
+    return _build_table(col, backend)
+
+
+def _build_table(col: Collection, backend) -> tuple[list, list[int]]:
     k = len(col.members)
     size = 1 << k
     objs = [backend.encode(m) for m in col.members]
@@ -303,6 +318,20 @@ def ie_violations(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> list[dict]:
     return _violations(col, _GenericBackend(col.ring, col.ambient), first_only=False)
 
 
+def _poset(table: list[Submodule]) -> tuple[dict[Submodule, int], dict[Submodule, list[Submodule]]]:
+    """The distinct entries of a generic subset table, sorted by rank and
+    basis: for each entry M, the union F(M) of the subsets S with U_S = M,
+    and the entries strictly inside M.  Containment is read from the table:
+    U_S & U_T = U_{S|T}, so U_{F(M)} = M, distinct entries have distinct F,
+    and U_{F(O)|F(M)} = O & M, which equals O exactly when O lies in M."""
+    fiber: dict[Submodule, int] = {}
+    for s, mod in enumerate(table):
+        fiber[mod] = fiber.get(mod, 0) | s
+    ranked = sorted(fiber.items(), key=lambda kv: (kv[0].rank, kv[0].sort_key()))
+    below = {m: [o for o, fo in ranked if fo != fm and table[fo | fm] == o] for m, fm in ranked}
+    return dict(ranked), below
+
+
 # ---------------------------------------------------------------------------
 # Corank tables.
 # ---------------------------------------------------------------------------
@@ -356,27 +385,19 @@ def corank_table(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> CorankTable:
     k = len(col.members)
     _check_cap(k, cap)
     backend = _GenericBackend(col.ring, col.ambient)
-    table, ranks = _intersection_masks(col, backend)
-    size = 1 << k
-
-    fiber_union: dict[Submodule, int] = {}
-    for s in range(size):
-        fiber_union[table[s]] = fiber_union.get(table[s], 0) | s
-    distinct = sorted(fiber_union, key=lambda m: (m.rank, m.sort_key()))
+    table, ranks = col._generic_table
+    fiber_union, below = _poset(table)
 
     records = []
-    for s in range(size):
+    for s in range(1 << k):
         parts = [table[s | (1 << i)] for i in range(k) if not s & (1 << i)]
         w = backend.sum_many(parts)
         f_val = ranks[s] - w.rank
         subset = tuple(i + 1 for i in range(k) if s & (1 << i))
         records.append(CorankRecord(subset, table[s], f_val, fiber_union[table[s]] == s))
 
-    g_values = []
-    for mod in distinct:
-        below = [other for other in distinct if other != mod and contains(mod, other)]
-        w = sum_of(below, col.ring, col.ambient)
-        g_values.append((mod, mod.rank - w.rank))
+    g_values = [(mod, mod.rank - sum_of(lower, col.ring, col.ambient).rank)
+                for mod, lower in below.items()]
 
     gmap = dict(g_values)
     for rec in records:
@@ -411,13 +432,9 @@ def common_basis_greedy(col: Collection, cap: int = DEFAULT_SUBSET_CAP) -> Commo
     """
     _check_cap(len(col.members), cap)
     ring, n = col.ring, col.ambient
-    backend = _GenericBackend(ring, n)
-    table, _ = _intersection_masks(col, backend)
-
-    distinct = sorted(set(table), key=lambda m: (m.rank, m.sort_key()))
-    below: dict[Submodule, list[Submodule]] = {
-        mod: [o for o in distinct if o != mod and contains(mod, o)] for mod in distinct
-    }
+    table, _ = col._generic_table
+    _, below = _poset(table)
+    distinct = list(below)
     height: dict[Submodule, int] = {}
     for mod in distinct:  # sorted by rank, so all strictly-contained are done
         height[mod] = 1 + max((height[o] for o in below[mod]), default=-1)
@@ -463,15 +480,17 @@ def closure(col: Collection, cap: int = DEFAULT_CLOSURE_CAP) -> Collection:
     can contain non-split modules when the input lacks a common basis, so
     the returned collection skips the summand check."""
     current = set(col.members)
-    frontier = list(col.members)
+    frontier = set(current)
     while frontier:
-        new: list[Submodule] = []
+        new: set[Submodule] = set()
         items = sorted(current, key=lambda m: (m.rank, m.sort_key()))
         for i, a in enumerate(items):
             for b in items[i + 1:]:
+                if a not in frontier and b not in frontier:
+                    continue  # combined in the round where the later one was new
                 for cand in (a + b, a & b):
                     if cand not in current:
-                        new.append(cand)
+                        new.add(cand)
                         current.add(cand)
                         if len(current) > cap:
                             raise ClosureCapExceeded(f"closure exceeded {cap} elements")

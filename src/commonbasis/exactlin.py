@@ -326,7 +326,9 @@ class Submodule:
 
     @property
     def is_ambient(self) -> bool:
-        return self.rank == self.ambient
+        """Equal to the ambient module: full rank with every pivot 1, as the
+        canonical form of ``R^n`` is the identity over both rings."""
+        return self.rank == self.ambient and all(row[i] == 1 for i, row in enumerate(self.basis))
 
     def sort_key(self) -> tuple[int, ...]:
         return tuple(x for row in self.basis for x in row)
@@ -426,6 +428,8 @@ def intersect(u: Submodule, w: Submodule) -> Submodule:
     _check_same_ambient(u, w)
     if u.is_zero or w.is_zero:
         return zero_module(u.ring, u.ambient)
+    if u.is_ambient or w.is_ambient:  # the other operand is already canonical
+        return w if u.is_ambient else u
     stacked = u.basis_matrix().stack(w.basis_matrix())
     ker = left_kernel(stacked)
     rows = []

@@ -13,7 +13,13 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from commonbasis.cbp import Collection, has_cbp_ie
+from commonbasis.cbp import (
+    ClosureCapExceeded,
+    CommonBasis,
+    CorankRecord,
+    Collection,
+    has_cbp_ie,
+)
 from commonbasis.complexes import _clique_complex, _st_less, label_key, label_members
 from commonbasis.exactlin import (
     GF,
@@ -24,9 +30,12 @@ from commonbasis.exactlin import (
     all_subspaces,
     canonicalize,
     contains,
+    is_unimodular,
     left_kernel,
     span,
+    sum_of,
     zero_module,
+    _extend_inside,
 )
 from commonbasis.homology import ChainComplex
 from commonbasis.simpmodel import SemiSimplicialModel, _l_cores, _sl_cores
@@ -160,6 +169,93 @@ def brute_force_cbp(members, n: int, p: int) -> bool:
         if all(es in fam["spans"] or len(es) == 1 for es in element_sets):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference lattice procedures: a subset table built afresh by ``&``, the
+# intersection poset by ``contains``, and closure by combining every pair in
+# every round -- the unoptimised paths of ``cbp``.
+# ---------------------------------------------------------------------------
+
+
+def reference_subset_table(col: Collection) -> list[Submodule]:
+    """U_S for every subset mask S of the members, U_0 the ambient module."""
+    table = [ambient_module(col.ring, col.ambient)]
+    for s in range(1, 1 << len(col.members)):
+        low = s & -s
+        table.append(table[s ^ low] & col.members[low.bit_length() - 1])
+    return table
+
+
+def reference_below(table: list[Submodule]) -> dict[Submodule, list[Submodule]]:
+    """The distinct entries sorted by rank and basis, each mapped to the
+    entries strictly inside it, decided by ``contains``."""
+    distinct = sorted(set(table), key=lambda m: (m.rank, m.sort_key()))
+    return {mod: [o for o in distinct if o != mod and contains(mod, o)] for mod in distinct}
+
+
+def reference_corank(col: Collection) -> tuple[tuple, tuple]:
+    """The records and G values of ``cbp.corank_table``."""
+    ring, n, k = col.ring, col.ambient, len(col.members)
+    table = reference_subset_table(col)
+    fiber: dict[Submodule, int] = {}
+    for s, mod in enumerate(table):
+        fiber[mod] = fiber.get(mod, 0) | s
+    records = []
+    for s, mod in enumerate(table):
+        w = sum_of([table[s | 1 << i] for i in range(k) if not s >> i & 1], ring, n)
+        subset = tuple(i + 1 for i in range(k) if s >> i & 1)
+        records.append(CorankRecord(subset, mod, mod.rank - w.rank, fiber[mod] == s))
+    g_values = [(mod, mod.rank - sum_of(lower, ring, n).rank)
+                for mod, lower in reference_below(table).items()]
+    return tuple(records), tuple(g_values)
+
+
+def reference_common_basis_greedy(col: Collection) -> CommonBasis | None:
+    """``cbp.common_basis_greedy`` with the poset read by ``contains``."""
+    ring, n = col.ring, col.ambient
+    table = reference_subset_table(col)
+    below = reference_below(table)
+    height: dict[Submodule, int] = {}
+    for mod in below:
+        height[mod] = 1 + max((height[o] for o in below[mod]), default=-1)
+    rows: list[tuple[int, ...]] = []
+    marks: dict[Submodule, frozenset[int]] = {}
+    for mod in sorted(below, key=lambda m: (height[m], m.sort_key())):
+        inherited = frozenset().union(*(marks[o] for o in below[mod]))
+        lower_sum = sum_of(below[mod], ring, n)
+        if lower_sum == mod:
+            marks[mod] = inherited
+            continue
+        ext = _extend_inside(lower_sum, mod)
+        if ext is None:
+            return None
+        marks[mod] = inherited | frozenset(range(len(rows), len(rows) + len(ext)))
+        rows.extend(ext)
+    basis = Matrix.from_rows(ring, rows, n)
+    if len(rows) != n or not is_unimodular(basis):
+        return None
+    result_marks = []
+    for i, member in enumerate(col.members):
+        idx = tuple(sorted(marks[table[1 << i]]))
+        if span(ring, n, [rows[j] for j in idx]) != member:
+            return None
+        result_marks.append(idx)
+    return CommonBasis(basis, tuple(result_marks))
+
+
+def reference_closure(col: Collection, cap: int) -> tuple[Submodule, ...]:
+    """The members of ``cbp.closure``: every pair of the current set
+    combined by sum and intersection in every round, to a fixed point."""
+    current = set(col.members)
+    while True:
+        items = sorted(current, key=lambda m: (m.rank, m.sort_key()))
+        grown = current | {c for i, a in enumerate(items) for b in items[i + 1:] for c in (a + b, a & b)}
+        if grown == current:
+            return tuple(items)
+        if len(grown) > cap:
+            raise ClosureCapExceeded(f"closure exceeded {cap} elements")
+        current = grown
 
 
 # ---------------------------------------------------------------------------

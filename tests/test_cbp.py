@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from commonbasis import cbp
 from commonbasis.cbp import (
+    DEFAULT_CLOSURE_CAP,
     CbpError,
+    ClosureCapExceeded,
     Collection,
     NonSplitMember,
     SubsetCapExceeded,
@@ -27,6 +29,7 @@ from commonbasis.exactlin import (
     ZZ,
     all_subspaces,
     ambient_module,
+    contains,
     coordinates_in,
     intersect,
     is_prime,
@@ -42,6 +45,10 @@ from helpers import (
     random_invertible_mod_p,
     random_split_submodule,
     random_subspace,
+    random_unimodular,
+    reference_closure,
+    reference_common_basis_greedy,
+    reference_corank,
 )
 
 F2 = GF(2)
@@ -443,3 +450,123 @@ def test_cbp_cache_stays_bounded(monkeypatch):
     assert small.cache_info().misses == 2 * len(cols)
     assert first == [not ie_violations(col) for col in cols]
     assert True in first and False in first
+
+
+# ---------------------------------------------------------------------------
+# One generic table per collection, and containment read from it, against
+# the unoptimised paths of tests/helpers.py.
+# ---------------------------------------------------------------------------
+
+RINGS = (ZZ, GF(2), GF(3))
+
+
+def _lattice_collection(rng: random.Random, ring, n: int) -> tuple[Collection, set[str]]:
+    """1 to 3 spans of proper subsets of one random basis of R^n, with up to
+    two of: a member nested in another, a duplicate, the ambient module, and
+    a planted-false part (over Z the index-2 pair b1+b2, b1-b2; over a field
+    three lines of one plane).  Returns the collection and the extras drawn."""
+    rows = (random_unimodular(rng, n) if ring == ZZ else random_invertible_mod_p(rng, n, ring.p)).entries
+    members = [span(ring, n, rng.sample(rows, rng.randint(1, n - 1))) for _ in range(rng.randint(1, 3))]
+    extras = set(rng.sample(["nested", "duplicate", "ambient", "false"], rng.randint(0, 2)))
+    if "nested" in extras:
+        members.append(span(ring, n, members[0].basis + (rng.choice(rows),)))
+    if "duplicate" in extras:
+        members.append(rng.choice(members))
+    if "ambient" in extras:
+        members.append(ambient_module(ring, n))
+    if "false" in extras:
+        b1, b2 = rows[:2]
+        plus, minus = [x + y for x, y in zip(b1, b2)], [x - y for x, y in zip(b1, b2)]
+        members += [span(ring, n, [v]) for v in ([plus, minus] if ring == ZZ else [b1, b2, plus])]
+    rng.shuffle(members)
+    return collection(members, ring=ring, ambient=n), extras
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_poset_readers_match_the_contains_reference(ring):
+    rng = random.Random(f"poset/{ring}")
+    seen = set()
+    for _ in range(60):
+        col, extras = _lattice_collection(rng, ring, rng.randint(2, 4))
+        got, want = common_basis_greedy(col), reference_common_basis_greedy(col)
+        assert (got is None) == (want is None), col.members
+        if got is not None:
+            assert (got.basis, got.marks) == (want.basis, want.marks)
+        table = corank_table(col)
+        assert (table.records, table.g_values) == reference_corank(col)
+        seen |= extras | {got is not None}
+    assert {"nested", "duplicate", "ambient", "false", True, False} <= seen
+
+
+def test_containment_is_read_from_the_table():
+    # U_{F(O) | F(M)} == O exactly when O lies in M, on every pair of
+    # distinct entries
+    rng = random.Random(29)
+    pairs = {True: 0, False: 0}
+    for ring in RINGS:
+        for _ in range(40):
+            col, _ = _lattice_collection(rng, ring, rng.randint(2, 4))
+            table, _ = cbp._intersection_masks(col, cbp._GenericBackend(ring, col.ambient))
+            fiber, below = cbp._poset(table)
+            assert list(fiber) == list(below) == sorted(set(table), key=lambda m: (m.rank, m.sort_key()))
+            for m, fm in fiber.items():
+                assert table[fm] == m
+                for o, fo in fiber.items():
+                    if o != m:
+                        inside = contains(m, o)
+                        assert (table[fo | fm] == o) == inside == (o in below[m])
+                        pairs[inside] += 1
+    assert min(pairs.values()) > 200
+
+
+def test_one_generic_table_per_collection(monkeypatch):
+    calls = []
+    real = cbp._GenericBackend.intersect
+    monkeypatch.setattr(cbp._GenericBackend, "intersect", lambda self, a, b: calls.append(1) or real(self, a, b))
+    rows = random_unimodular(random.Random(31), 4).entries
+    members = [span(ZZ, 4, rows[:1]), span(ZZ, 4, rows[:2]), span(ZZ, 4, rows[1:3]), span(ZZ, 4, rows[2:])]
+    col, built = collection(members), (1 << len(members)) - 1
+    cbp._decide.cache_clear()
+    assert has_cbp_ie(col) and not ie_violations(col)
+    assert corank_table(col).records and common_basis_greedy(col) is not None
+    assert len(calls) == built  # four readers, one table
+    again = collection(members)
+    assert again == col and "_generic_table" not in vars(again)
+    assert has_cbp_ie(again) and len(calls) == built  # a memo hit builds nothing
+    assert not ie_violations(again) and len(calls) == 2 * built
+    # an F_p decision through the bitset backend leaves no generic table
+    lines = collection(all_subspaces(3, 2, 1, 1)[:3])
+    cbp._decide.cache_clear()
+    assert isinstance(cbp._backend(F2, 3), cbp._FpBitsBackend)
+    has_cbp_ie(lines)
+    assert "_generic_table" not in vars(lines) and len(calls) == 2 * built
+    assert has_cbp_ie(lines) == (common_basis_greedy(lines) is not None)
+    assert "_generic_table" in vars(lines)
+
+
+def test_closure_matches_the_all_pairs_fixed_point():
+    rng = random.Random(23)
+    grew = 0
+    for ring in RINGS:
+        for _ in range(20):
+            n = rng.randint(2, 3)
+            draws = [random_split_submodule(rng, n) if ring == ZZ else random_subspace(rng, n, ring.p)
+                     for _ in range(rng.randint(2, 4))]
+            col = Collection(ring, n, tuple(draws), trusted=True)
+            want = reference_closure(col, DEFAULT_CLOSURE_CAP)
+            assert closure(col).members == want
+            if len(want) > len(set(draws)):
+                # the cap triggers exactly where the all-pairs loop's does
+                grew += 1
+                for cap in (len(want) - 1, len(set(draws))):
+                    with pytest.raises(ClosureCapExceeded):
+                        closure(col, cap)
+                    with pytest.raises(ClosureCapExceeded):
+                        reference_closure(col, cap)
+                assert closure(col, len(want)).members == want
+    assert grew > 15
+    # four lines of Z^2 generate an infinite lattice: both hit the cap
+    four = Collection(ZZ, 2, tuple(span(ZZ, 2, [v]) for v in [(1, 0), (0, 1), (1, 1), (1, -1)]), trusted=True)
+    for fixed_point in (closure, reference_closure):
+        with pytest.raises(ClosureCapExceeded, match="exceeded 40 elements"):
+            fixed_point(four, 40)

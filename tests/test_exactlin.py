@@ -173,6 +173,28 @@ def test_intersect_examples():
     u = span(ZZ, 3, [(1, 2, 0), (0, 0, 5)])
     assert intersect(u, ambient_module(ZZ, 3)) == u
     assert intersect(span(ZZ, 2, [(1, 1)]), span(ZZ, 2, [(1, -1)])).is_zero
+    assert intersect(span(ZZ, 1, [(3,)]), span(ZZ, 1, [(2,)])) == span(ZZ, 1, [(6,)])
+
+
+def test_is_ambient_means_equal_to_the_ambient_module():
+    # full-rank lattices of index > 1 are not Z^n, split or not
+    for rows in ([(2,)], [(1, 0), (0, 3)], [(1, 1), (1, -1)], [(1, 2, 0), (0, 1, 0), (0, 0, 5)]):
+        lattice = span(ZZ, len(rows), rows)
+        assert lattice.rank == lattice.ambient and not lattice.is_ambient
+    assert span(ZZ, 2, [(2, 1), (1, 1)]).is_ambient  # a unimodular basis
+    rng = random.Random(37)
+    kinds = set()
+    for ring in (ZZ, GF(2), GF(3)):
+        for n in (1, 2, 3):
+            full = ambient_module(ring, n)
+            assert full.is_ambient and not zero_module(ring, n).is_ambient
+            for _ in range(40):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+                u = span(ring, n, rows)
+                assert u.is_ambient == (u == full)
+                assert intersect(u, full) == u == intersect(full, u)
+                kinds.add((ring.p, u.rank == n, u.is_ambient))
+    assert {(0, True, False), (0, True, True), (2, True, True), (3, True, True)} <= kinds
 
 
 def test_intersect_is_exact_over_Z():
