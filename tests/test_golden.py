@@ -1,8 +1,9 @@
 """Byte-exactness of the default outputs on a fixed golden set.
 
 Each case regenerates one output -- a default CLI report, a ``build`` file
-(the ``dump_complex`` text), or a ``dump_complex`` / ``dump_model`` text of
-an instance the CLI does not build -- and compares its md5 with
+(the ``dump_complex`` text), a ``dump_complex`` / ``dump_model`` text of
+an instance the CLI does not build, or the standard output of a demo script
+run in a child process -- and compares its md5 with
 ``golden/manifest.txt``.  A change meant to keep every answer leaves the
 manifest as it is; a deliberate change of an output format regenerates it
 once, with
@@ -19,7 +20,11 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
+
+import commonbasis
 
 from commonbasis.cbp import collection
 from commonbasis.cli import main
@@ -28,6 +33,7 @@ from commonbasis.exactlin import GF, span
 from commonbasis.simpmodel import d_model, dump_model
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 CLI_CASES = [
     "verify connectivity --n 3 --p 3",
@@ -46,7 +52,9 @@ CLI_CASES = [
     "verify bar-model --a 1 --b 0 --n 2 --p 2",
     "verify bar-model --a 1 --b 0 --n 3 --p 2",
     "build tits --n 3 --p 2",
+    "build tits --n 4 --p 2",
     "build split-tits --n 3 --p 2",
+    "build split-tits --n 2 --p 3",
     "build cb --n 3 --p 3",
     "build higher --n 2 --p 3 --a 1 --b 1",
     "homology --kind tits --n 3 --p 3",
@@ -92,9 +100,27 @@ DUMP_CASES = {
 }
 
 
+def _demo(script: Path) -> str:
+    # the child imports the same copy of the package as this process,
+    # installed or run from a source checkout
+    package_root = str(Path(commonbasis.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": package_root + (os.pathsep + inherited if inherited else "")}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, f"{script.name}: exit {proc.returncode}\n{proc.stderr}"
+    return proc.stdout
+
+
+DEMO_CASES = {f"demo {script.name}": (lambda script=script: _demo(script))
+              for script in sorted(DEMOS.glob("[0-9][0-9]_*.py"))}
+
+
 def digests() -> dict[str, str]:
     outputs = {argv: (lambda argv=argv: _cli(argv)) for argv in CLI_CASES}
     outputs.update(DUMP_CASES)
+    outputs.update(DEMO_CASES)
     return {name: hashlib.md5(make().encode()).hexdigest() for name, make in outputs.items()}
 
 
