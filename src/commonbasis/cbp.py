@@ -67,9 +67,10 @@ DEFAULT_CLOSURE_CAP = 4096
 class Collection:
     """An ordered collection ``U_1, ..., U_k`` of submodules of ``R^n``.
 
-    Over the integers every member must be a summand; membership is checked
-    at construction unless ``trusted`` is set (used internally by
-    :func:`closure`, whose output can legitimately contain non-split sums).
+    Over the integers every member must be a summand, checked at
+    construction unless ``trusted`` is set; only :func:`closure` sets it, as
+    its output can legitimately contain non-split sums.  Over a field every
+    subspace is a summand and nothing is checked.
     """
 
     ring: Ring

@@ -8,14 +8,17 @@ defaults) is echoed back, and the output is byte-exact for a fixed
 (config, seed, version) -- wall-clock timing is only included on request
 (``--timing``) precisely so that the default output stays reproducible.
 The process exits 0 iff every verdict passes, 1 when one fails, and 2 when
-a cap or an internal consistency check stops the run: that report carries an
-``error`` block (``type``, ``message``) instead of verdicts.
+a cap, a rejected complex or an internal consistency check stops the run:
+that report carries an ``error`` block (``type``, ``message``) instead of
+verdicts.  Bad flags (a non-prime ``--p``, a negative size or count, a
+missing input file) also exit 2, with argparse's usage message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -33,7 +36,7 @@ from .cbp import (
 )
 from .complexes import (
     DEFAULT_MAX_SIMPLICES,
-    CapExceeded,
+    ComplexError,
     SimplicialComplex,
     common_basis_complex,
     dump_complex,
@@ -47,13 +50,14 @@ from .complexes import (
     split_tits,
     tits,
 )
-from .exactlin import ZZ, span
+from .exactlin import ZZ, is_prime, span
 from .homology import HomologyError, chains, homology
 from .simpmodel import ModelError, check_bar_model, check_suspension
 from .steinberg import SteinbergError, bar_euler, st_rank_classical, tor
 
-# Raised when a run hits a cap or a failed internal check; reported with exit 2.
-REPORTED_ERRORS = (CapExceeded, SubsetCapExceeded, ClosureCapExceeded, SteinbergError,
+# Raised when a run hits a cap, a rejected complex or a failed internal check;
+# reported with exit 2.
+REPORTED_ERRORS = (ComplexError, SubsetCapExceeded, ClosureCapExceeded, SteinbergError,
                    HomologyError, ModelError)
 
 
@@ -313,15 +317,33 @@ def cmd_verify(args) -> int:
     return _emit(_report(config, results, verdicts, started, args.timing), args)
 
 
+def prime(text: str) -> int:
+    if not is_prime(int(text)):
+        raise argparse.ArgumentTypeError(f"{text} is not a prime")
+    return int(text)
+
+
+def nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
+
+
+def existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text}")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=2)
-    parser.add_argument("--p", type=int, default=2)
-    parser.add_argument("--a", type=int, default=1)
-    parser.add_argument("--b", type=int, default=0)
+    parser.add_argument("--n", type=nonnegative, default=2)
+    parser.add_argument("--p", type=prime, default=2)
+    parser.add_argument("--a", type=nonnegative, default=1)
+    parser.add_argument("--b", type=nonnegative, default=0)
     parser.add_argument("--k", type=int, default=12, help="subset enumeration cap")
     parser.add_argument("--ring", choices=["Z", "Fp"], default="Fp")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=100)
+    parser.add_argument("--count", type=nonnegative, default=100)
     parser.add_argument("--max-dim", type=int, default=None)
     parser.add_argument("--max-vertices", type=int, default=5000)
     parser.add_argument("--max-simplices", type=int, default=DEFAULT_MAX_SIMPLICES)
@@ -342,12 +364,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_hom = sub.add_parser("homology", help="homology of a built or loaded complex")
     p_hom.add_argument("--kind", choices=["tits", "split-tits", "cb", "higher"], default="tits")
-    p_hom.add_argument("--file", default=None)
+    p_hom.add_argument("--file", type=existing_file, default=None)
     _add_common(p_hom)
     p_hom.set_defaults(func=cmd_homology)
 
     p_cbp = sub.add_parser("cbp", help="decide the common basis property for a collection file")
-    p_cbp.add_argument("--collection", required=True)
+    p_cbp.add_argument("--collection", type=existing_file, required=True)
     p_cbp.add_argument("--mode", choices=["greedy", "ie", "both"], default="both")
     p_cbp.add_argument("--table", action="store_true", help="include the corank table")
     _add_common(p_cbp)

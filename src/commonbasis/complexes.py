@@ -3,13 +3,14 @@
 A :class:`SimplicialComplex` stores a deterministic vertex label sequence and
 the full set of faces as sorted index tuples.  Constructors here build:
 
-* :func:`tits` -- the order complex of proper nonzero subspaces (flags);
-* :func:`split_tits` -- the order complex of two-part splittings;
-* :func:`common_basis_complex` -- simplices are collections of proper
-  nonzero subspaces admitting a common basis;
 * :func:`higher_tits` -- the subcomplex of a join of flag and splitting
   complexes cut out by the joint common basis property, relative to a fixed
-  compatible collection.
+  compatible collection;
+* :func:`tits` and :func:`split_tits` -- the order complexes of proper
+  nonzero subspaces (flags) and of two-part splittings: the one-factor
+  higher buildings, built without common-basis decisions;
+* :func:`common_basis_complex` -- simplices are collections of proper
+  nonzero subspaces admitting a common basis.
 
 Vertices of joins carry their slot index so equal payloads in different
 factors stay distinct.  Everything is deterministic: vertex orders come from
@@ -31,7 +32,6 @@ from . import homology as _homology
 from .cbp import Collection, has_cbp_ie
 from .exactlin import (
     GF,
-    Ring,
     Submodule,
     all_subspaces,
     contains,
@@ -338,6 +338,7 @@ def _clique_complex(
     labels: Sequence,
     edge: Callable[[int, int], bool],
     accept: Callable[[tuple[int, ...]], bool] | None = None,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
     max_simplices: int = DEFAULT_MAX_SIMPLICES,
     max_dim: int | None = None,
 ) -> SimplicialComplex:
@@ -354,8 +355,13 @@ def _clique_complex(
     ``common_basis_complex(3, 3)`` is complete, and without the filter that
     build makes 31,433 decisions instead of 7,605 and takes 1.9-3.1 s instead
     of 0.7-0.9 s (2-vCPU VM, Python 3.11).  The closure check of
-    :class:`SimplicialComplex` stays as the independent guard."""
+    :class:`SimplicialComplex` stays as the independent guard.
+
+    Both caps are checked here: ``max_vertices`` on the labels before any
+    vertex is accepted, ``max_simplices`` as simplices are added."""
     n = len(labels)
+    if n > max_vertices:
+        raise CapExceeded(f"{n} vertices exceeds the cap {max_vertices}")
     vertices = [i for i in range(n) if accept is None or accept((i,))]
     adj = [0] * n
     for k, i in enumerate(vertices):
@@ -403,46 +409,23 @@ def tits(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICES,
          max_simplices: int = DEFAULT_MAX_SIMPLICES,
          max_dim: int | None = None) -> SimplicialComplex:
     """Order complex of the proper nonzero subspaces of F_p^n under
-    inclusion; simplices are flags."""
-    subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
-    if len(subs) > max_vertices:
-        raise CapExceeded(f"{len(subs)} vertices exceeds the cap {max_vertices}")
-    labels = sorted(subs, key=label_key)
-
-    def edge(i: int, j: int) -> bool:
-        return contains(labels[j], labels[i]) or contains(labels[i], labels[j])
-
-    return _clique_complex(labels, edge, max_simplices=max_simplices, max_dim=max_dim)
+    inclusion; simplices are flags.  This is ``higher_tits(1, 0, n, p)``."""
+    return higher_tits(1, 0, n, p, max_vertices=max_vertices,
+                       max_simplices=max_simplices, max_dim=max_dim)
 
 
 def _st_less(a: tuple[Submodule, Submodule], b: tuple[Submodule, Submodule]) -> bool:
-    return (
-        a[0] != b[0]
-        and contains(b[0], a[0])
-        and a[1] != b[1]
-        and contains(a[1], b[1])
-    )
+    return a[0] != b[0] and contains(b[0], a[0]) and a[1] != b[1] and contains(a[1], b[1])
 
 
 def split_tits(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICES,
                max_simplices: int = DEFAULT_MAX_SIMPLICES,
                max_dim: int | None = None) -> SimplicialComplex:
     """Order complex of two-part splittings (P, Q), P (+) Q the whole space,
-    both parts proper nonzero, with (P,Q) < (P',Q') when P < P' and Q' < Q."""
-    subs = all_subspaces(n, p, 1, n - 1)
-    pairs = []
-    for a in subs:
-        for b in subs:
-            if a.rank + b.rank == n and (a & b).is_zero:
-                pairs.append((a, b))
-    if len(pairs) > max_vertices:
-        raise CapExceeded(f"{len(pairs)} vertices exceeds the cap {max_vertices}")
-    labels = sorted(pairs, key=label_key)
-
-    def edge(i: int, j: int) -> bool:
-        return _st_less(labels[i], labels[j]) or _st_less(labels[j], labels[i])
-
-    return _clique_complex(labels, edge, max_simplices=max_simplices, max_dim=max_dim)
+    both parts proper nonzero, with (P,Q) < (P',Q') when P < P' and Q' < Q.
+    This is ``higher_tits(0, 1, n, p)``."""
+    return higher_tits(0, 1, n, p, max_vertices=max_vertices,
+                       max_simplices=max_simplices, max_dim=max_dim)
 
 
 def st_simplex_to_splitting(chain: Sequence[tuple[Submodule, Submodule]]) -> tuple[Submodule, ...]:
@@ -468,16 +451,17 @@ def splitting_to_st_simplex(parts: Sequence[Submodule]) -> tuple[tuple[Submodule
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# Common basis complex and higher buildings.
-# ---------------------------------------------------------------------------
+def _common_basis_build(labels: Sequence, related: Callable[[int, int], bool], n: int, p: int,
+                        sigma_members: tuple[Submodule, ...], max_vertices: int,
+                        max_simplices: int, max_dim: int | None) -> SimplicialComplex:
+    """The cliques of ``related`` on ``labels`` whose members, together with
+    sigma's, have a common basis.
 
-
-def _membership_test(ring: Ring, n: int, sigma_members: tuple[Submodule, ...] = ()):
-    """One build's decisions: ``mask`` numbers its distinct subspaces, and
-    ``test(m)`` decides the members in mask ``m`` with sigma's, once per mask.
-    Exact, as a decision depends only on the set of member bases, and
-    canonical bases make subspaces and bases one to one."""
+    ``mask`` numbers the build's distinct subspaces, and ``test(m)`` decides
+    the members in mask ``m`` with sigma's, once per mask.  Exact, as a
+    decision depends only on the set of member bases, and canonical bases
+    make subspaces and bases one to one.  Sigma is checked before any cap."""
+    ring = GF(p)
     index: dict[Submodule, int] = {}
     decided: dict[int, bool] = {}
 
@@ -490,9 +474,25 @@ def _membership_test(ring: Ring, n: int, sigma_members: tuple[Submodule, ...] = 
         m |= sigma
         if m not in decided:
             mems = tuple(s for s, i in index.items() if m >> i & 1)
-            decided[m] = has_cbp_ie(Collection(ring, n, mems, trusted=True))
+            decided[m] = has_cbp_ie(Collection(ring, n, mems))
         return decided[m]
-    return mask, test
+
+    if sigma_members and not test(0):
+        raise ComplexError("relative collection must itself have a common basis")
+    bit = [mask(label_members(lbl)) for lbl in labels]
+
+    def edge(i: int, j: int) -> bool:
+        return related(i, j) and test(bit[i] | bit[j])
+
+    def accept(simplex: tuple[int, ...]) -> bool:
+        if len(simplex) == 2:
+            return True  # edges already tested pairwise
+        m = 0
+        for i in simplex:
+            m |= bit[i]
+        return test(m)
+
+    return _clique_complex(labels, edge, accept, max_vertices, max_simplices, max_dim)
 
 
 def common_basis_complex(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICES,
@@ -501,24 +501,9 @@ def common_basis_complex(n: int, p: int, max_vertices: int = DEFAULT_MAX_VERTICE
     """Vertices are the proper nonzero subspaces of F_p^n; a vertex set
     spans a simplex iff it has a common basis (decided by the
     inclusion-exclusion criterion)."""
-    ring = GF(p)
-    subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
-    if len(subs) > max_vertices:
-        raise CapExceeded(f"{len(subs)} vertices exceeds the cap {max_vertices}")
-    labels = sorted(subs, key=label_key)
-    mask, test = _membership_test(ring, n)
-    bit = [mask([s]) for s in labels]
-
-    def edge(i: int, j: int) -> bool:
-        return test(bit[i] | bit[j])
-
-    def accept(simplex: tuple[int, ...]) -> bool:
-        if len(simplex) <= 2:
-            return True  # edges already tested pairwise
-        return test(sum(bit[i] for i in simplex))  # distinct labels, distinct bits
-
-    return _clique_complex(labels, edge, accept, max_simplices=max_simplices,
-                           max_dim=max_dim)
+    labels = sorted(all_subspaces(n, p, 1, n - 1), key=label_key)
+    return _common_basis_build(labels, lambda i, j: True, n, p, (), max_vertices,
+                               max_simplices, max_dim)
 
 
 def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
@@ -528,64 +513,48 @@ def higher_tits(a: int, b: int, n: int, p: int, sigma: Collection | None = None,
     """The higher building relative to ``sigma``: the subcomplex of the join
     of ``a`` flag complexes and ``b`` splitting complexes on those simplices
     whose constituent submodules, together with the members of ``sigma``,
-    have a common basis.  Vertices are tagged with their join slot."""
+    have a common basis.  Vertices are tagged with their join slot.
+
+    With one factor and no sigma nothing is decided.  A simplex is then a
+    flag, which has a common basis by basis extension, or a chain of
+    two-part splittings.  Such a chain refines to the single splitting that
+    :func:`st_simplex_to_splitting` gives, and a basis adapted to that
+    splitting spans every P_i and Q_i, each a sum of consecutive parts.  So
+    every clique would be accepted, and the build is the clique complex of
+    the slot relation alone."""
     if a < 0 or b < 0 or a + b < 1:
         raise ComplexError("need at least one join factor")
-    ring = GF(p)
     sigma_members: tuple[Submodule, ...] = ()
     if sigma is not None and sigma.members:
-        if sigma.ring != ring or sigma.ambient != n:
+        if sigma.ring != GF(p) or sigma.ambient != n:
             raise ComplexError("relative collection lives in the wrong ambient space")
         sigma_members = sigma.members
-    mask, test = _membership_test(ring, n, sigma_members)
-    if sigma_members and not test(0):
-        raise ComplexError("relative collection must itself have a common basis")
-
-    subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
+    subs = sorted(all_subspaces(n, p, 1, n - 1), key=label_key)
     # Splitting pairs are only vertices of slots a..a+b-1.
-    pairs = [
-        (x, y) for x in subs for y in subs if x.rank + y.rank == n and (x & y).is_zero
-    ] if b else []
+    pairs = sorted(((x, y) for x in subs for y in subs
+                    if x.rank + y.rank == n and (x & y).is_zero), key=label_key) if b else []
+    slots: list[int] = []
+    payloads: list = []
+    for slot in range(a + b):
+        factor = subs if slot < a else pairs
+        slots += [slot] * len(factor)
+        payloads += factor
     # A single factor is a subcomplex of the flag or splitting complex
     # itself, so its vertices stay untagged and directly comparable.
-    tagged = a + b > 1
-    labels: list = []
-    for slot in range(a):
-        labels.extend(((slot, s) if tagged else s) for s in sorted(subs, key=label_key))
-    for slot in range(a, a + b):
-        labels.extend(((slot, pq) if tagged else pq) for pq in sorted(pairs, key=label_key))
-    if len(labels) > max_vertices:
-        raise CapExceeded(f"{len(labels)} vertices exceeds the cap {max_vertices}")
-    mask_of = [mask(label_members(lbl)) for lbl in labels]
+    labels = payloads if a + b == 1 else list(zip(slots, payloads))
 
-    def _slot_payload(i: int):
-        return labels[i] if not tagged else labels[i][1]
-
-    def _slot_index(i: int) -> int:
-        return labels[i][0] if tagged else 0
-
-    def slot_compatible(i: int, j: int) -> bool:
-        si, pi = _slot_index(i), _slot_payload(i)
-        sj, pj = _slot_index(j), _slot_payload(j)
-        if si != sj:
+    def related(i: int, j: int) -> bool:
+        if slots[i] != slots[j]:
             return True
-        if si < a:
-            return pi != pj and (contains(pi, pj) or contains(pj, pi))
-        return _st_less(pi, pj) or _st_less(pj, pi)
+        x, y = payloads[i], payloads[j]
+        if slots[i] < a:
+            return contains(x, y) or contains(y, x)
+        return _st_less(x, y) or _st_less(y, x)
 
-    def edge(i: int, j: int) -> bool:
-        return slot_compatible(i, j) and test(mask_of[i] | mask_of[j])
-
-    def accept(simplex: tuple[int, ...]) -> bool:
-        if len(simplex) == 2:
-            return True
-        m = 0
-        for i in simplex:
-            m |= mask_of[i]
-        return test(m)
-
-    return _clique_complex(labels, edge, accept, max_simplices=max_simplices,
-                           max_dim=max_dim)
+    if a + b == 1 and not sigma_members:
+        return _clique_complex(labels, related, None, max_vertices, max_simplices, max_dim)
+    return _common_basis_build(labels, related, n, p, sigma_members, max_vertices,
+                               max_simplices, max_dim)
 
 
 def is_simplex_over_Z(members: Collection) -> bool:

@@ -235,7 +235,7 @@ _CORE_CACHE_SIZE = 16
 def _l_cores(n: int, p: int) -> tuple[tuple[Submodule, ...], ...]:
     """Strict chains of proper nonzero subspaces (the intermediate values of
     a pinned flag); the empty chain is the direct jump."""
-    subs = all_subspaces(n, p, 1, n - 1) if n >= 1 else []
+    subs = all_subspaces(n, p, 1, n - 1)
     chains_out: list[tuple[Submodule, ...]] = [()]
     stack: list[tuple[Submodule, ...]] = [(s,) for s in subs]
     while stack:
@@ -428,7 +428,7 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
         combo = [cores[c] for cores, c in zip(factor_cores, ids)]
         sizes = [len(core) + 1 for core in combo[:a]] + [len(core) for core in combo[a:]]
         members = SemiSimplicialModel.members_of(combo)
-        if members and not has_cbp_ie(Collection(ring, n, members, trusted=True)):
+        if members and not has_cbp_ie(Collection(ring, n, members)):
             continue
         for degree in range(max(sizes), sum(sizes) + 1):
             for masks in _coverings(sizes, degree):
@@ -733,7 +733,7 @@ def check_bar_model(a: int, b: int, n: int, p: int,
             mems = base.members_of(w)
             for dec in decs:
                 all_mems = tuple(dict.fromkeys(mems + tuple(d for d in dec if not d.is_ambient)))
-                if not all_mems or has_cbp_ie(Collection(ring, n, all_mems, trusted=True)):
+                if not all_mems or has_cbp_ie(Collection(ring, n, all_mems)):
                     out.append((w, dec))
         return out
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from commonbasis.cbp import collection, dump_collection
 from commonbasis.cli import main
 from commonbasis.complexes import load_complex
@@ -179,3 +181,28 @@ def test_verify_bar_model_suite(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["counts"]["2,2"] == [12, 12]
+
+
+@pytest.mark.parametrize("argv", [
+    "build tits --n 3 --p 4",
+    "homology --kind tits --n 3 --p 1",
+    "verify connectivity --n 3 --p 0",
+    "build tits --n -1 --p 2",
+    "build higher --a -1 --b 1 --n 2 --p 2",
+    "build higher --a 1 --b -1 --n 2 --p 2",
+    "verify morse --count -1",
+    "cbp --collection /nonexistent/pair.col",
+    "homology --file /nonexistent/t.cplx",
+])
+def test_bad_flags_exit_two_with_a_usage_message(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_rejected_complexes_are_error_reports_with_exit_two(capsys):
+    code, out = run(capsys, "build", "higher", "--a", "0", "--b", "0", "--n", "2", "--p", "2")
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "ComplexError", "message": "need at least one join factor"}

@@ -189,6 +189,11 @@ def _sigmas(cb):
 def test_mask_keyed_builders_match_the_member_list_reference():
     for n, p in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         assert common_basis_complex(n, p) == reference_common_basis_complex(n, p)
+    # the one-factor buildings, built without decisions, equal the deciding path
+    for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        assert tits(n, p) == reference_higher_tits(1, 0, n, p)
+    for n, p in [(2, 2), (2, 3), (3, 2)]:
+        assert split_tits(n, p) == reference_higher_tits(0, 1, n, p)
     for args in [(2, 0, 2, 2), (1, 1, 2, 3), (2, 0, 3, 2)]:
         assert higher_tits(*args) == reference_higher_tits(*args)
     for sigma in _sigmas(common_basis_complex(3, 3)):
@@ -211,6 +216,25 @@ def test_builders_decide_each_member_set_once(monkeypatch):
         assert decided and len(set(decided)) == len(decided), (build.__name__, args)
 
 
+def test_only_one_factor_builds_without_sigma_skip_decisions(monkeypatch):
+    class Decided(Exception):
+        pass
+
+    def refuse(col):
+        raise Decided
+
+    monkeypatch.setattr(complexes, "has_cbp_ie", refuse)
+    assert tits(3, 3).f_vector() == [26, 52]
+    assert split_tits(3, 2).num_simplices() > 0
+    assert higher_tits(1, 0, 3, 2) == tits(3, 2)
+    assert higher_tits(0, 1, 2, 3) == split_tits(2, 3)
+    line = span(GF(2), 3, [(1, 0, 0)])
+    for build, args in [(higher_tits, (1, 0, 3, 2, collection([line]))),
+                        (higher_tits, (2, 0, 2, 2)), (common_basis_complex, (2, 2))]:
+        with pytest.raises(Decided):
+            build(*args)
+
+
 def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
     cb = common_basis_complex(3, 3)
     sigmas = _sigmas(cb)
@@ -229,10 +253,24 @@ def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
 
 
 def test_caps_raise():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^26 vertices exceeds the cap 10$"):
         tits(3, 3, max_vertices=10)
+    with pytest.raises(CapExceeded, match="^12 vertices exceeds the cap 11$"):
+        split_tits(2, 3, max_vertices=11)
     with pytest.raises(CapExceeded):
         common_basis_complex(3, 2, max_simplices=100)
+
+
+def test_sigma_is_checked_before_the_vertex_cap():
+    # the three lines of F_2^2 are pairwise but not jointly compatible
+    f2 = GF(2)
+    lines = collection([span(f2, 2, [v]) for v in [(1, 0), (0, 1), (1, 1)]])
+    with pytest.raises(ComplexError, match="must itself have a common basis"):
+        higher_tits(1, 0, 2, 2, lines, max_vertices=1)
+    with pytest.raises(ComplexError, match="wrong ambient space"):
+        higher_tits(1, 0, 3, 2, lines, max_vertices=1)
+    with pytest.raises(CapExceeded):
+        higher_tits(1, 0, 2, 2, collection([span(f2, 2, [(1, 0)])]), max_vertices=1)
 
 
 def test_morse_triangle_example():
