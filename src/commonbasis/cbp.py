@@ -516,5 +516,8 @@ def dump_collection(col: Collection) -> str:
 
 def load_collection(text: str, ring=None, ambient=None) -> Collection:
     blocks = [b for b in text.split("\n\n") if b.strip()]
-    members = tuple(load_submodule(b) for b in blocks)
+    try:
+        members = tuple(load_submodule(b) for b in blocks)
+    except ValueError as err:
+        raise CbpError(f"malformed collection file: {err}") from err
     return collection(members, ring=ring, ambient=ambient)

@@ -7,8 +7,8 @@ check name, the configuration (including the seed and all resolved
 defaults) is echoed back, and the output is byte-exact for a fixed
 (config, seed, version) -- wall-clock timing is only included on request
 (``--timing``) precisely so that the default output stays reproducible.
-The process exits 0 iff every verdict passes, 1 when one fails, and 2 when
-a cap, a rejected complex or an internal consistency check stops the run:
+The process exits 0 iff every verdict passes, 1 when one fails, and 2 when a
+cap, a rejected or malformed input or a failed internal check stops the run:
 that report carries an ``error`` block (``type``, ``message``) instead of
 verdicts.  Bad flags (a non-prime ``--p``, a negative size or count, a
 missing input file) also exit 2, with argparse's usage message.
@@ -25,8 +25,7 @@ import time
 
 from . import __version__
 from .cbp import (
-    ClosureCapExceeded,
-    SubsetCapExceeded,
+    CbpError,
     collection,
     common_basis_greedy,
     corank_table,
@@ -55,10 +54,9 @@ from .homology import HomologyError, chains, homology
 from .simpmodel import ModelError, check_bar_model, check_suspension
 from .steinberg import SteinbergError, bar_euler, st_rank_classical, tor
 
-# Raised when a run hits a cap, a rejected complex or a failed internal check;
-# reported with exit 2.
-REPORTED_ERRORS = (ComplexError, SubsetCapExceeded, ClosureCapExceeded, SteinbergError,
-                   HomologyError, ModelError)
+# Raised when a run hits a cap, a rejected complex or collection, a malformed
+# input file or a failed internal check; reported with exit 2.
+REPORTED_ERRORS = (ComplexError, CbpError, SteinbergError, HomologyError, ModelError)
 
 
 def _report(config: dict, results: dict, verdicts: list[dict], started: float,

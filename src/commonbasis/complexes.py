@@ -460,7 +460,11 @@ def _common_basis_build(labels: Sequence, related: Callable[[int, int], bool], n
     ``mask`` numbers the build's distinct subspaces, and ``test(m)`` decides
     the members in mask ``m`` with sigma's, once per mask.  Exact, as a
     decision depends only on the set of member bases, and canonical bases
-    make subspaces and bases one to one.  Sigma is checked before any cap."""
+    make subspaces and bases one to one.  Sigma is checked before any cap.
+
+    Without sigma a single vertex is accepted undecided.  Its members are
+    one subspace, whose own basis extends to a common basis, or a splitting
+    pair, whose two bases together form one."""
     ring = GF(p)
     index: dict[Submodule, int] = {}
     decided: dict[int, bool] = {}
@@ -485,8 +489,8 @@ def _common_basis_build(labels: Sequence, related: Callable[[int, int], bool], n
         return related(i, j) and test(bit[i] | bit[j])
 
     def accept(simplex: tuple[int, ...]) -> bool:
-        if len(simplex) == 2:
-            return True  # edges already tested pairwise
+        if len(simplex) == 2 or len(simplex) == 1 and not sigma:
+            return True  # edges already tested pairwise, lone vertices above
         m = 0
         for i in simplex:
             m |= bit[i]
@@ -716,7 +720,10 @@ def load_complex(text: str) -> SimplicialComplex:
     lines = [ln.rstrip("\n") for ln in text.strip().splitlines()]
     if not lines or not lines[0].startswith("#vertices "):
         raise ComplexError("missing #vertices header")
-    nverts = int(lines[0].split()[1])
-    vertices = [parse_label(ln) for ln in lines[1 : 1 + nverts]]
-    simplices = [tuple(int(x) for x in ln.split()) for ln in lines[1 + nverts:] if ln.strip()]
+    try:
+        nverts = int(lines[0].split()[1])
+        vertices = [parse_label(ln) for ln in lines[1 : 1 + nverts]]
+        simplices = [tuple(int(x) for x in ln.split()) for ln in lines[1 + nverts:] if ln.strip()]
+    except (ValueError, IndexError) as err:
+        raise ComplexError(f"malformed complex file: {err}") from err
     return SimplicialComplex(vertices, simplices)

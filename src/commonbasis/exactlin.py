@@ -128,10 +128,6 @@ class Matrix:
             raise AmbientMismatch("cannot stack")
         return Matrix(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def transpose(self) -> "Matrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return Matrix(self.ring, self.cols, self.rows, data)
-
 
 # ---------------------------------------------------------------------------
 # Row reduction primitives.  These work on plain lists of lists of ints and
@@ -530,15 +526,6 @@ def is_unimodular(m: Matrix) -> bool:
     )
 
 
-def quotient_torsion_divisors(u: Submodule) -> tuple[int, ...]:
-    """Elementary divisors > 1 of the quotient ``Z^n / u`` read from the
-    Smith form of the presentation given by the basis rows."""
-    if u.ring.is_field:
-        return ()
-    divisors, _ = _snf_dense([list(r) for r in u.basis], u.ambient)
-    return tuple(d for d in divisors if d != 1)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration over prime fields.
 # ---------------------------------------------------------------------------
@@ -617,17 +604,3 @@ def load_submodule(text: str) -> Submodule:
     if sub.basis != tuple(tuple(r) for r in rows):
         raise ValueError("stored rows are not in canonical form")
     return sub
-
-
-def dump_matrix(m: Matrix) -> str:
-    lines = [f"{m.ring} {m.cols} {m.rows}"]
-    lines.extend(" ".join(str(x) for x in row) for row in m.entries)
-    return "\n".join(lines)
-
-
-def load_matrix(text: str) -> Matrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    ring_tok, n_tok, rows_tok = lines[0].split()
-    ring, n, nrows = ring_from_token(ring_tok), int(n_tok), int(rows_tok)
-    rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + nrows]]
-    return Matrix.from_rows(ring, rows, n)

@@ -15,9 +15,10 @@ and products such as the boundary-squared check are taken column by
 column.  The Smith normal form alone reads ``{(row, col): value}``; that
 copy is made as a boundary is cleared.
 
-The Smith normal form engine eliminates unit pivots chosen by a minimal
-fill-in (Markowitz) heuristic with deterministic tie-breaking, then hands
-any residual matrix without unit entries to an exact gcd-pivot phase.
+The Smith normal form engine first eliminates zero-fill unit pivots (a
+unit alone in its row or column) from a FIFO queue, then the other unit
+pivots by minimal fill-in (Markowitz) with deterministic tie-breaking, then
+hands any residual matrix without unit entries to an exact gcd-pivot phase.
 
 A chain complex reduces its boundaries from low degree to high and clears
 as it goes: the rows of the boundary out of degree d+1 indexed by the
@@ -30,6 +31,7 @@ boundary-squared check always runs on the full boundaries.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable
@@ -46,10 +48,28 @@ class HomologyError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# Why the unit pivots may come in any order, and why the queue goes first:
+# - a unit pivot (r, c, v) subtracts multiples of row r from the other
+#   rows of column c, a unimodular row operation, and then drops row r and
+#   column c, which the implied column operations have cleared; so each
+#   step splits off one divisor 1 and leaves a matrix with the remaining
+#   nonzero elementary divisors, whatever unit is picked;
+# - a unit alone in its column needs no row operation, and one alone in its
+#   row only cancels the other entries of its column: neither creates an
+#   entry, so these pivots cost no fill-in;
+# - clearing (``ChainComplex.boundary_divisors``) needs only that the
+#   reported columns are unit-phase pivots, and its proof does not depend
+#   on their order.
 def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
                  unit_pivot_cols: list[int] | None = None) -> list[int]:
     """Nonzero elementary divisors ``d_1 | d_2 | ...`` of a sparse integer
     matrix given as ``{(row, col): value}``.
+
+    Units alone in their row or column are pivoted first, from a FIFO queue
+    seeded in row order and fed as elimination leaves such units behind.
+    FIFO matters: a LIFO stack took the homology of ``d_model(2,0,3,3)``
+    from 4-5 s to 19-22 s (2-vCPU VM, Python 3.11).  The Markowitz heap is
+    built, from the units still live, only when the queue first runs dry.
 
     If ``unit_pivot_cols`` is a list, the columns where the unit phase
     pivoted are appended to it in pivot order; the dense fallback's pivots
@@ -61,64 +81,74 @@ def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
 
-    heap: list[tuple[int, int, int]] = []
+    queue = deque((r, c) for r in sorted(rows) for c, v in rows[r].items()
+                  if v in (1, -1) and (len(rows[r]) == 1 or len(cols[c]) == 1))
+    heap: list[tuple[int, int, int]] | None = None
 
     def cost(r: int, c: int) -> int:
         return (len(rows[r]) - 1) * (len(cols[c]) - 1)
 
-    for r, row in rows.items():
-        for c, v in row.items():
-            if v in (1, -1):
-                heapq.heappush(heap, (cost(r, c), r, c))
-
     def row_sub(r2: int, f: int, r: int) -> None:
-        """row r2 -= f * row r, maintaining indices and the unit heap."""
+        """row r2 -= f * row r, maintaining indices, queue and heap."""
         target = rows[r2]
         for c, v in rows[r].items():
             new = target.get(c, 0) - f * v
             if new:
-                had = c in target
-                target[c] = new
-                if not had:
+                if c not in target:
                     cols[c].add(r2)
-                if new in (1, -1):
+                target[c] = new
+                if heap is not None and new in (1, -1):
                     heapq.heappush(heap, (0, r2, c))
             elif c in target:
                 del target[c]
-                cols[c].discard(r2)
-                if not cols[c]:
-                    del cols[c]
-        if not target:
+                cols[c].discard(r2)  # row r keeps column c alive
+        if len(target) == 1:
+            (c, v), = target.items()
+            if v in (1, -1):
+                queue.append((r2, c))
+        elif not target:
             del rows[r2]
-
-    def remove_pivot(r: int, c: int) -> None:
-        for c2 in rows[r]:
-            cols[c2].discard(r)
-            if not cols[c2]:
-                del cols[c2]
-        del rows[r]
 
     unit_count = 0
     while rows:
-        # Unit-pivot phase: cheapest valid (cost, r, c) from the lazy heap.
         pivot = None
-        while heap:
-            cst, r, c = heapq.heappop(heap)
+        while queue:
+            r, c = queue.popleft()
             v = rows.get(r, {}).get(c, 0)
-            if v not in (1, -1):
-                continue
-            actual = cost(r, c)
-            if actual > cst:
-                heapq.heappush(heap, (actual, r, c))
-                continue
-            pivot = (r, c, v)
-            break
+            if v in (1, -1) and (len(rows[r]) == 1 or len(cols[c]) == 1):
+                pivot = (r, c, v)
+                break
         if pivot is None:
-            break
+            # Markowitz phase: cheapest valid (cost, r, c) from the lazy heap.
+            if heap is None:
+                heap = [(cost(r, c), r, c) for r, row in rows.items()
+                        for c, v in row.items() if v in (1, -1)]
+                heapq.heapify(heap)
+            while heap:
+                cst, r, c = heapq.heappop(heap)
+                v = rows.get(r, {}).get(c, 0)
+                if v not in (1, -1):
+                    continue
+                actual = cost(r, c)
+                if actual > cst:
+                    heapq.heappush(heap, (actual, r, c))
+                    continue
+                pivot = (r, c, v)
+                break
+            if pivot is None:
+                break
         r, c, v = pivot
         for r2 in sorted(cols[c] - {r}):
             row_sub(r2, rows[r2][c] * v, r)
-        remove_pivot(r, c)
+        for c2 in rows.pop(r):  # a column left with one unit queues it
+            col = cols[c2]
+            col.discard(r)
+            if len(col) == 1:
+                r3, = col
+                if rows[r3][c2] in (1, -1):
+                    queue.append((r3, c2))
+            elif not col:
+                del cols[c2]
         unit_count += 1
         if unit_pivot_cols is not None:
             unit_pivot_cols.append(c)

@@ -207,18 +207,6 @@ def _block_product(a: int, b: int, p: int) -> dict[tuple[int, int], list[int]]:
     return out
 
 
-def block_swap_rows(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Row matrix of the coordinate swap moving the first a coordinates past
-    the last b."""
-    n = a + b
-    rows = []
-    for i in range(a):
-        rows.append(tuple(1 if j == b + i else 0 for j in range(n)))
-    for i in range(b):
-        rows.append(tuple(1 if j == i else 0 for j in range(n)))
-    return tuple(rows)
-
-
 def transport_rows(a_sub: Submodule, b_sub: Submodule) -> tuple[tuple[int, ...], ...]:
     """The change of coordinates comparing the block identification of
     A (+) B with the canonical basis of the sum: row i is the i-th stacked

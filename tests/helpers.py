@@ -1,7 +1,8 @@
 """Shared test fixtures: seeded random generators over Z, the
 self-contained brute-force common-basis oracle over prime fields, reference
-builders of the common basis complex and the higher buildings, and
-reference enumerations and assemblies of models.
+builders of the common basis complex and the higher buildings, reference
+enumerations and assemblies of models, the heap-only sparse Smith form,
+and small matrix utilities that only tests read.
 
 The oracle deliberately reimplements its linear algebra from scratch
 (vector enumeration and set comparison only), so that it shares no code
@@ -10,6 +11,7 @@ path with the procedures it referees.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations, product
 
@@ -32,13 +34,60 @@ from commonbasis.exactlin import (
     contains,
     is_unimodular,
     left_kernel,
+    ring_from_token,
     span,
     sum_of,
     zero_module,
     _extend_inside,
+    _snf_dense,
 )
-from commonbasis.homology import ChainComplex
+from commonbasis.homology import ChainComplex, _normalize_chain
 from commonbasis.simpmodel import SemiSimplicialModel, _l_cores, _sl_cores
+
+# ---------------------------------------------------------------------------
+# Matrix utilities read only by tests.
+# ---------------------------------------------------------------------------
+
+
+def transpose(m: Matrix) -> Matrix:
+    data = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+    return Matrix(m.ring, m.cols, m.rows, data)
+
+
+def dump_matrix(m: Matrix) -> str:
+    lines = [f"{m.ring} {m.cols} {m.rows}"]
+    lines.extend(" ".join(str(x) for x in row) for row in m.entries)
+    return "\n".join(lines)
+
+
+def load_matrix(text: str) -> Matrix:
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    ring_tok, n_tok, rows_tok = lines[0].split()
+    ring, n, nrows = ring_from_token(ring_tok), int(n_tok), int(rows_tok)
+    rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + nrows]]
+    return Matrix.from_rows(ring, rows, n)
+
+
+def quotient_torsion_divisors(u: Submodule) -> tuple[int, ...]:
+    """Elementary divisors > 1 of the quotient ``Z^n / u`` read from the
+    Smith form of the presentation given by the basis rows."""
+    if u.ring.is_field:
+        return ()
+    divisors, _ = _snf_dense([list(r) for r in u.basis], u.ambient)
+    return tuple(d for d in divisors if d != 1)
+
+
+def block_swap_rows(a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Row matrix of the coordinate swap moving the first a coordinates past
+    the last b."""
+    n = a + b
+    rows = []
+    for i in range(a):
+        rows.append(tuple(1 if j == b + i else 0 for j in range(n)))
+    for i in range(b):
+        rows.append(tuple(1 if j == i else 0 for j in range(n)))
+    return tuple(rows)
+
 
 # ---------------------------------------------------------------------------
 # Random integer lattices.
@@ -50,8 +99,8 @@ def saturate(sub: Submodule) -> Submodule:
     span), via a double integer kernel."""
     if sub.is_zero:
         return sub
-    ker = left_kernel(sub.basis_matrix().transpose())
-    sat = left_kernel(ker.transpose())
+    ker = left_kernel(transpose(sub.basis_matrix()))
+    sat = left_kernel(transpose(ker))
     return canonicalize(sat)
 
 
@@ -384,3 +433,71 @@ def reference_model_complex(model) -> ChainComplex:
             columns[j] = column
         boundaries[d] = columns
     return ChainComplex({d: len(s) for d, s in model.simplices.items()}, boundaries)
+
+
+# ---------------------------------------------------------------------------
+# The reference sparse Smith form: every unit pivot chosen by minimal
+# fill-in from one lazy Markowitz heap seeded with every unit entry, with
+# no zero-fill queue in front of it.  Unit pivots are not reported; the
+# residual goes through the same dense routine as ``snf_divisors``.
+# ---------------------------------------------------------------------------
+
+
+def reference_snf_divisors(entries: dict[tuple[int, int], int], nrows: int,
+                           ncols: int) -> list[int]:
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+
+    def cost(r: int, c: int) -> int:
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
+
+    heap = [(cost(r, c), r, c) for r, row in rows.items() for c, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
+
+    def row_sub(r2: int, f: int, r: int) -> None:
+        target = rows[r2]
+        for c, v in rows[r].items():
+            new = target.get(c, 0) - f * v
+            if new:
+                if c not in target:
+                    cols[c].add(r2)
+                target[c] = new
+                if new in (1, -1):
+                    heapq.heappush(heap, (0, r2, c))
+            elif c in target:
+                del target[c]
+                cols[c].discard(r2)
+        if not target:
+            del rows[r2]
+
+    unit_count = 0
+    while heap:
+        cst, r, c = heapq.heappop(heap)
+        v = rows.get(r, {}).get(c, 0)
+        if v not in (1, -1):
+            continue
+        actual = cost(r, c)
+        if actual > cst:
+            heapq.heappush(heap, (actual, r, c))
+            continue
+        for r2 in sorted(cols[c] - {r}):
+            row_sub(r2, rows[r2][c] * v, r)
+        for c2 in rows.pop(r):
+            cols[c2].discard(r)
+            if not cols[c2]:
+                del cols[c2]
+        unit_count += 1
+    if not rows:
+        return [1] * unit_count
+    live_rows = sorted(rows)
+    live_cols = sorted({c for row in rows.values() for c in row})
+    col_of = {c: j for j, c in enumerate(live_cols)}
+    dense = [[0] * len(live_cols) for _ in live_rows]
+    for i, r in enumerate(live_rows):
+        for c, v in rows[r].items():
+            dense[i][col_of[c]] = v
+    return [1] * unit_count + _normalize_chain(_snf_dense(dense, len(live_cols))[0])

@@ -206,3 +206,21 @@ def test_rejected_complexes_are_error_reports_with_exit_two(capsys):
     code, out = run(capsys, "build", "higher", "--a", "0", "--b", "0", "--n", "2", "--p", "2")
     assert code == 2 and json.loads(out)["error"] == {
         "type": "ComplexError", "message": "need at least one join factor"}
+
+
+def test_malformed_complex_file_is_an_error_report_with_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.cplx"
+    bad.write_text("#vertices x\n")
+    code, out = run(capsys, "homology", "--file", str(bad))
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "ComplexError",
+        "message": "malformed complex file: invalid literal for int() with base 10: 'x'"}
+
+
+def test_malformed_collection_file_is_an_error_report_with_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.col"
+    bad.write_text("F2 2 x\n1 0\n")
+    code, out = run(capsys, "cbp", "--collection", str(bad))
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "CbpError",
+        "message": "malformed collection file: invalid literal for int() with base 10: 'x'"}

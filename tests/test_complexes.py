@@ -216,6 +216,34 @@ def test_builders_decide_each_member_set_once(monkeypatch):
         assert decided and len(set(decided)) == len(decided), (build.__name__, args)
 
 
+def test_builds_without_sigma_decide_no_single_vertex(monkeypatch):
+    # one subspace, or one splitting pair, always has a common basis, so
+    # only a relative build decides its vertices, each together with sigma
+    decided = []
+
+    def recording(col):
+        decided.append(frozenset(col.members))
+        return cbp.has_cbp_ie(col)
+
+    monkeypatch.setattr(complexes, "has_cbp_ie", recording)
+    # deciding every vertex as well took 7, 1,015 and 14 decisions
+    for build, args, reference, calls in [
+            (common_basis_complex, (2, 2), reference_common_basis_complex, 4),
+            (common_basis_complex, (3, 2), reference_common_basis_complex, 1001),
+            (higher_tits, (1, 1, 2, 3), reference_higher_tits, 10)]:
+        decided.clear()
+        k = build(*args)
+        assert len(decided) == calls and all(len(members) > 1 for members in decided), args
+        assert k == reference(*args), args
+    cb = common_basis_complex(3, 2)
+    sigma = collection([cb.vertices[0], cb.vertices[-1]], ring=GF(2), ambient=3)
+    decided.clear()
+    relative = higher_tits(1, 0, 3, 2, sigma)
+    for x in all_subspaces(3, 2, 1, 2):
+        assert frozenset(sigma.members) | {x} in decided
+    assert relative == reference_higher_tits(1, 0, 3, 2, sigma)
+
+
 def test_only_one_factor_builds_without_sigma_skip_decisions(monkeypatch):
     class Decided(Exception):
         pass

@@ -19,7 +19,6 @@ from commonbasis.exactlin import (
     canonicalize,
     contains,
     coordinates_in,
-    dump_matrix,
     dump_submodule,
     extend_to_ambient_basis,
     gaussian_binomial,
@@ -27,16 +26,21 @@ from commonbasis.exactlin import (
     is_split,
     is_unimodular,
     left_kernel,
-    load_matrix,
     load_submodule,
     member,
-    quotient_torsion_divisors,
     snf,
     span,
     span_sum,
     zero_module,
 )
-from helpers import random_split_submodule, random_unimodular, saturate
+from helpers import (
+    dump_matrix,
+    load_matrix,
+    quotient_torsion_divisors,
+    random_split_submodule,
+    random_unimodular,
+    saturate,
+)
 
 
 def test_ring_rejects_prime_powers():

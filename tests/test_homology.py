@@ -30,6 +30,7 @@ from commonbasis.homology import (
 )
 from commonbasis.simpmodel import d_model
 from commonbasis.steinberg import bar_complex
+from helpers import reference_snf_divisors
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -281,6 +282,47 @@ def test_clearing_matches_uncleared_divisors_on_every_complex_class():
                  "relative_chains(common basis complex, tits)", "d_model(2,0,2,2)",
                  "bar_complex(3,2)", "RP2", "Morse pair (cone over RP2, apex)"]:
         assert dropped[name] > 0, name
+
+
+def _reduced_inputs(c: ChainComplex):
+    """Per degree, the boundary of ``c`` as ``boundary_divisors`` hands it
+    to ``snf_divisors``: its rows at the unit pivots reported one degree
+    down dropped.  Yields the degree, those entries, their divisors and
+    their unit pivots."""
+    cleared: set[int] = set()
+    for d in sorted(c.boundaries):
+        entries = {(r, col): v for col, column in c.boundaries[d].items()
+                   for r, v in column.items() if r not in cleared}
+        pivots: list[int] = []
+        divisors = snf_divisors(entries, c.size(d - 1), c.size(d), pivots) if entries else []
+        yield d, entries, divisors, pivots
+        cleared = set(pivots)
+
+
+def test_queue_engine_matches_the_heap_engine_on_every_complex_class():
+    # the zero-fill queue changes only the order of the unit pivots, so the
+    # divisors equal those of the heap-only engine, on the cleared
+    # boundaries the chain complex reduces and on the full ones
+    classes = list(_complex_classes()) + [("d_model(2,0,3,2)", d_model(2, 0, 3, 2).chain_complex())]
+    for name, c in classes:
+        for d, entries, divisors, _ in _reduced_inputs(c):
+            m, n = c.size(d - 1), c.size(d)
+            assert divisors == reference_snf_divisors(entries, m, n), (name, d)
+            if name != "d_model(2,0,3,2)":  # its full boundaries take seconds per engine
+                full = _entries(c.boundaries[d])
+                assert snf_divisors(full, m, n) == reference_snf_divisors(full, m, n), (name, d)
+
+
+def test_queue_engine_unit_pivots_clear_exactly():
+    # the reported pivots are distinct columns of the matrix reduced, and
+    # with the rows they index dropped one degree up, the divisors are
+    # those the heap-only engine finds on the full boundary
+    for name, c in _complex_classes():
+        for d, entries, divisors, pivots in _reduced_inputs(c):
+            assert len(set(pivots)) == len(pivots), (name, d)
+            assert set(pivots) <= {col for _, col in entries}, (name, d)
+            full = _entries(c.boundaries[d])
+            assert divisors == reference_snf_divisors(full, c.size(d - 1), c.size(d)), (name, d)
 
 
 def test_clearing_keeps_morse_torsion():

@@ -14,7 +14,7 @@ from commonbasis.simpmodel import (
     ordered_decompositions,
     tensor_chain_complex,
 )
-from helpers import activity, reference_model_complex, reference_model_simplices
+from helpers import activity, block_swap_rows, reference_model_complex, reference_model_simplices
 
 
 def sizes(model):
@@ -202,7 +202,6 @@ def test_shuffle_product_strictly_associative():
 
 def test_mu_graded_commutativity_via_block_swap():
     from commonbasis.simpmodel import apply_gl_to_simplex
-    from commonbasis.steinberg import block_swap_rows
 
     p = 2
     for (m, n) in [(1, 1), (1, 2)]:
