@@ -154,8 +154,8 @@ class SimplicialComplex:
         for s in simps:
             if not s or list(s) != sorted(set(s)):
                 raise ComplexError(f"bad simplex tuple {s}")
-            if s[-1] >= len(self.vertices):
-                raise ComplexError(f"simplex {s} exceeds vertex count")
+            if s[0] < 0 or s[-1] >= len(self.vertices):
+                raise ComplexError(f"simplex {s} is outside the vertex range")
             if len(s) > 1:
                 for i in range(len(s)):
                     if s[:i] + s[i + 1:] not in simps:

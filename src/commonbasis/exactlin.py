@@ -112,8 +112,8 @@ class Matrix:
             if cols is not None and cols != width:
                 raise ValueError("cols does not match row width")
             cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        elif cols is None or cols < 0:
+            raise ValueError(f"empty matrix needs a column count >= 0, not {cols}")
         return Matrix(ring, len(data), cols, data)
 
     @staticmethod

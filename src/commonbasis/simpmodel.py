@@ -50,6 +50,20 @@ below i-1:
 So the code's face decodes to :meth:`SemiSimplicialModel.face` of the
 decoded simplex.
 
+Degeneracies act on codes too.  Degeneracy j repeats entry j of a flag and
+puts a zero part at position j of a splitting, so position j becomes
+inactive and the positions at and above j move up one: it inserts a 0 bit
+at position j of every factor's mask and leaves the cores alone.  The
+degeneracy that spreads a degree-r code over more steps with its steps at
+``positions`` therefore keeps the cores and has the mask
+:func:`_embed` ``(mask, positions)``.
+
+The GL action moves cores.  An injective linear map fixes 0 and keeps
+ranks, strict inclusions and internal direct sums, so it sends a strict
+chain to a strict chain and a decomposition of a space to one of its image:
+a core to a core (:func:`_move_cores`).  It keeps which entries are equal
+and which parts are zero, so it keeps every mask.
+
 The monoid structure is materialized at chain level by
 :func:`mu_chain`: the Eilenberg-Zilber shuffle map followed by the
 factorwise internal-direct-sum multiplication, with the two factors embedded
@@ -60,7 +74,7 @@ and the model with one more splitting factor.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -109,14 +123,6 @@ def _face_parts(parts: tuple[Submodule, ...], i: int) -> tuple[Submodule, ...] |
         return parts[:-1] if parts[p - 1].is_zero else None
     merged = parts[i - 1] + parts[i]
     return parts[: i - 1] + (merged,) + parts[i + 1:]
-
-
-def _degen_flag(flag: tuple[Submodule, ...], j: int) -> tuple[Submodule, ...]:
-    return flag[: j + 1] + (flag[j],) + flag[j + 1:]
-
-
-def _degen_parts(parts: tuple[Submodule, ...], j: int, zero: Submodule) -> tuple[Submodule, ...]:
-    return parts[:j] + (zero,) + parts[j:]
 
 
 ModelSimplex = tuple  # tuple over factors; each factor a tuple of Submodule
@@ -318,13 +324,19 @@ def _spread_parts(core: tuple[Submodule, ...], mask: int, degree: int,
                  for k in range(degree))
 
 
-def _spreader(a: int, b: int, n: int, p: int):
+def _spreader(a: int, b: int, n: int, p: int, into: Submodule | None = None):
     """The entries of factor f spread from its core id and position mask in
-    a given degree."""
+    a given degree.  With ``into``, a subspace of rank n, the cores are
+    first moved into it along its canonical basis, and it is every flag's
+    top."""
     ring = GF(p)
-    zero, full = zero_module(ring, n), ambient_module(ring, n)
-    flags = _l_cores(n, p)
+    flags = _l_cores(n, p) if a else ()
     splits = _sl_cores(n, p) if b else ()
+    if into is None:
+        zero, full = zero_module(ring, n), ambient_module(ring, n)
+    else:
+        zero, full = zero_module(ring, into.ambient), into
+        flags, splits = (_move_cores(cores, into.basis, ring, into.ambient) for cores in (flags, splits))
 
     def spread(f: int, core: int, mask: int, degree: int) -> tuple[Submodule, ...]:
         if f < a:
@@ -332,6 +344,28 @@ def _spreader(a: int, b: int, n: int, p: int):
         return _spread_parts(splits[core], mask, degree, zero)
 
     return spread
+
+
+def _embed(mask: int, positions: Sequence[int]) -> int:
+    """The mask with bit k moved to bit positions[k]."""
+    return sum(1 << q for k, q in enumerate(positions) if mask >> k & 1)
+
+
+def _spread_code(spread, code: tuple, positions: Sequence[int], degree: int) -> ModelSimplex:
+    """The simplex of ``code`` spread over ``degree`` steps with its own
+    steps at ``positions``: its degeneracy at every other step."""
+    factors = len(code) // 2
+    return tuple(spread(f, code[f], _embed(code[factors + f], positions), degree) for f in range(factors))
+
+
+def _move_cores(cores: Sequence[tuple[Submodule, ...]], g_rows, ring: Ring,
+                n: int) -> tuple[tuple[Submodule, ...], ...]:
+    """The cores moved along the row action v -> v @ g_rows of an injective
+    map into F_p^n, each distinct subspace once; see the module docstring."""
+    moved = {s: span(ring, n, [[sum(c * g[j] for c, g in zip(row, g_rows)) for j in range(n)]
+                               for row in s.basis])
+             for s in {s for core in cores for s in core}}
+    return tuple(tuple(moved[s] for s in core) for core in cores)
 
 
 def _decode(codes: tuple, degree: int, spread) -> tuple[ModelSimplex, ...]:
@@ -439,7 +473,7 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
     return SemiSimplicialModel(a, b, n, ring, by_degree)
 
 
-# Distinct keys: 8 over the test suite, 3 over tor(3, 2).
+# Distinct keys: 9 over the test suite, 3 over tor(3, 2).
 @lru_cache(maxsize=16)
 def _model(a: int, b: int, n: int, p: int) -> SemiSimplicialModel:
     """The one shared model of each small (a, b, n, p): the Steinberg
@@ -536,17 +570,6 @@ def _shuffles(p: int, q: int):
         yield alpha, beta, (-1) ** inversions
 
 
-def _apply_degens(simplex: ModelSimplex, positions: Iterable[int], a: int, factors: int,
-                  zero: Submodule) -> ModelSimplex:
-    out = list(simplex)
-    for j in sorted(positions):
-        for f in range(a):
-            out[f] = _degen_flag(out[f], j)
-        for f in range(a, factors):
-            out[f] = _degen_parts(out[f], j, zero)
-    return tuple(out)
-
-
 def _combine(x: ModelSimplex, y: ModelSimplex, factors: int, m: int, n: int) -> ModelSimplex:
     out = []
     for f in range(factors):
@@ -603,8 +626,7 @@ def mu_chain(a: int, b: int, m: int, n: int, p: int) -> tuple[BasedChainMap, dic
     mx, my, mz = _model(a, b, m, p), _model(a, b, n, p), _model(a, b, m + n, p)
     cx, cy, cz = mx.chain_complex(), my.chain_complex(), mz.chain_complex()
     tensor, pair_index = tensor_chain_complex(cx, cy)
-    zero_m = zero_module(GF(p), m)
-    zero_n = zero_module(GF(p), n)
+    spread_x, spread_y = _spreader(a, b, m, p), _spreader(a, b, n, p)
     factors = a + b
 
     matrices: dict[int, dict[int, dict[int, int]]] = {}
@@ -612,12 +634,11 @@ def mu_chain(a: int, b: int, m: int, n: int, p: int) -> tuple[BasedChainMap, dic
         columns: dict[int, dict[int, int]] = {}
         target_index = mz.index.get(d, {})
         for (i, xi, yj), col in idx.items():
-            x = mx.simplices[i][xi]
-            y = my.simplices[d - i][yj]
+            x, y = mx.codes[i][xi], my.codes[d - i][yj]
             acc: dict[int, int] = {}
             for alpha, beta, sign in _shuffles(i, d - i):
-                xs = _apply_degens(x, beta, a, factors, zero_m)
-                ys = _apply_degens(y, alpha, a, factors, zero_n)
+                xs = _spread_code(spread_x, x, alpha, d)
+                ys = _spread_code(spread_y, y, beta, d)
                 combined = _combine(xs, ys, factors, m, n)
                 row = target_index.get(combined)
                 if row is None:
@@ -629,27 +650,6 @@ def mu_chain(a: int, b: int, m: int, n: int, p: int) -> tuple[BasedChainMap, dic
         if columns:
             matrices[d] = columns
     return BasedChainMap(tensor, cz, matrices), pair_index, mz
-
-
-def apply_gl_to_simplex(simplex: ModelSimplex, g_rows: Sequence[Sequence[int]],
-                        ring: Ring, n: int) -> ModelSimplex:
-    """Relabel every constituent subspace along the row action v -> v @ g."""
-    out = []
-    for factor in simplex:
-        out.append(tuple(_transform_sub(sub, g_rows, ring, n) for sub in factor))
-    return tuple(out)
-
-
-def _transform_sub(sub: Submodule, g_rows, ring: Ring, n: int) -> Submodule:
-    rows = []
-    for row in sub.basis:
-        vec = [0] * n
-        for coeff, grow in zip(row, g_rows):
-            if coeff:
-                for j, x in enumerate(grow):
-                    vec[j] += coeff * x
-        rows.append(vec)
-    return span(ring, n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -682,33 +682,26 @@ def check_bar_model(a: int, b: int, n: int, p: int,
     exactly and faces in both directions must correspond."""
     ring = GF(p)
     factors = a + b
-    zero = zero_module(ring, n)
-
     base = d_model(a, b, n, p, max_simplices)
-    block_models: dict[tuple[Submodule, ...], dict] = {}
+    block_models: dict[tuple, tuple] = {}
 
     def slot_elements(part: Submodule, degree: int):
         """All (possibly degenerate) non-basepoint degree-`degree` elements
-        of the diagonal model over the subspace `part`, via cores spread
-        over active position sets, transported from the standard model (no
-        larger than ``base``, which was built under the cap)."""
+        of the diagonal model over the subspace `part`: the codes of the
+        standard model (no larger than ``base``, which was built under the
+        cap) with their cores moved into `part`, spread over active
+        position sets."""
         key = part.basis
         if key not in block_models:
-            std = _model(a, b, part.rank, p)
-            transported: dict[int, list[ModelSimplex]] = {}
-            for r, simps in std.simplices.items():
-                transported[r] = [
-                    apply_gl_to_simplex(s, part.basis, ring, n) for s in simps
-                ]
-            block_models[key] = transported
-        transported = block_models[key]
+            block_models[key] = (_model(a, b, part.rank, p).codes, _spreader(a, b, part.rank, p, part))
+        codes, spread = block_models[key]
         out = []
-        for r, simps in transported.items():
+        for r, degree_codes in codes.items():
             if r > degree:
                 continue
-            for core in simps:
+            for code in degree_codes:
                 for positions in combinations(range(degree), r):
-                    out.append((_spread_model_simplex(core, positions, degree, a, factors, zero), positions))
+                    out.append((_spread_code(spread, code, positions, degree), positions))
         return out
 
     def bar_elements(p_int: int, q: int):
@@ -778,14 +771,6 @@ def check_bar_model(a: int, b: int, n: int, p: int,
                     ok = False
                 faces_checked += 1
     return BarModelReport(a, b, n, p, BAR_CUTOFF, ok, counts, faces_checked)
-
-
-def _spread_model_simplex(core: ModelSimplex, positions: tuple[int, ...], degree: int,
-                          a: int, factors: int, zero: Submodule) -> ModelSimplex:
-    """Spread a nondegenerate simplex across `degree` steps, active exactly
-    at `positions` (the unique degeneracy with that activity set)."""
-    missing = [i for i in range(degree) if i not in positions]
-    return _apply_degens(core, missing, a, factors, zero)
 
 
 def _combine_bar(elts, ring: Ring, n: int, factors: int) -> ModelSimplex:

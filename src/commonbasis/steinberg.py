@@ -41,8 +41,9 @@ from .exactlin import (
 from .homology import ChainComplex, HomologyProfile, assemble, chains, homology
 from .simpmodel import (
     SemiSimplicialModel,
+    _l_cores,
     _model,
-    apply_gl_to_simplex,
+    _move_cores,
     d_model,
     mu_chain,
     ordered_decompositions,
@@ -53,7 +54,7 @@ class SteinbergError(Exception):
     pass
 
 
-ST_CAPS = {2: 3, 3: 2}
+ST_CAPS = {2: 3, 3: 3}
 
 
 def st_rank_classical(n: int, p: int) -> int:
@@ -149,7 +150,7 @@ def st_module(n: int, p: int) -> SteinbergModule:
     return _st_module(n, p)
 
 
-# ST_CAPS admits 7 keys (n, p).
+# ST_CAPS admits 8 keys (n, p).
 @lru_cache(maxsize=8)
 def _st_module(n: int, p: int) -> SteinbergModule:
     model = _model(1, 0, n, p)
@@ -173,8 +174,9 @@ def _st_module(n: int, p: int) -> SteinbergModule:
 # ---------------------------------------------------------------------------
 
 
-# Distinct keys counted over the test suite (and over tor(3, 2) alone): 4 (3)
-# block products and 72 (60) transport permutations.
+# Distinct keys counted over the test suite: 6 block products and 317
+# transport permutations; over tor(3, 2) alone 3 and 60, over
+# bar_complex(3, 3) alone 3 and 243.
 _BLOCK_PRODUCT_CACHE_SIZE = 16
 _TRANSPORT_CACHE_SIZE = 1024
 
@@ -259,13 +261,15 @@ def st_multiply(a_sub: Submodule, x_coeffs: Sequence[int], b_sub: Submodule,
 @lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
 def _gl_action_on_chain(g_rows: tuple[tuple[int, ...], ...], st: SteinbergModule) -> list[int]:
     """The permutation of the top simplices of ``st``'s model under the row
-    action of ``g_rows``.  Keyed by the module object, which ``st_module``
-    keeps one of per (n, p)."""
-    model = st.model
-    top = model.simplices.get(st.n, ())
-    index = model.index.get(st.n, {})
-    ring = GF(st.p)
-    return [index[apply_gl_to_simplex(s, g_rows, ring, st.n)] for s in top]
+    action of ``g_rows``: ``g_rows`` moves each flag core to a core and
+    keeps its mask (see ``simpmodel``).  Keyed by the module object, which
+    ``st_module`` keeps one of per (n, p)."""
+    cores = _l_cores(st.n, st.p)
+    ids = {core: c for c, core in enumerate(cores)}
+    moved = [ids[core] for core in _move_cores(cores, g_rows, GF(st.p), st.n)]
+    top = st.model.codes.get(st.n, ())
+    index = {code: i for i, code in enumerate(top)}
+    return [index[moved[core], mask] for core, mask in top]
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ def reference_higher_tits(a: int, b: int, n: int, p: int, sigma=None):
 
 # ---------------------------------------------------------------------------
 # Reference models: simplices as tuples of submodules, every face filtered
-# for nondegeneracy.
+# for nondegeneracy, degeneracies and the GL action applied entry by entry.
 # ---------------------------------------------------------------------------
 
 
@@ -396,6 +396,33 @@ def reference_model_simplices(a: int, b: int, n: int, p: int) -> dict:
         d: tuple(sorted(simps, key=lambda s: tuple(tuple(e.sort_key() for e in f) for f in s)))
         for d, simps in sorted(by_degree.items())
     }
+
+
+def _degen_flag(flag, j: int):
+    return flag[: j + 1] + (flag[j],) + flag[j + 1:]
+
+
+def _degen_parts(parts, j: int, zero):
+    return parts[:j] + (zero,) + parts[j:]
+
+
+def reference_apply_degens(simplex, positions, a: int, zero):
+    """Degeneracies at the given steps, in increasing order, applied entry
+    by entry: a flag repeats entry j, a splitting gets a zero part at j."""
+    out = list(simplex)
+    for j in sorted(positions):
+        for f in range(len(out)):
+            out[f] = _degen_flag(out[f], j) if f < a else _degen_parts(out[f], j, zero)
+    return tuple(out)
+
+
+def apply_gl_to_simplex(simplex, g_rows, ring, n: int):
+    """Every constituent subspace of a model simplex relabelled along the
+    row action v -> v @ g_rows."""
+    return tuple(
+        tuple(span(ring, n, [[sum(c * g[j] for c, g in zip(row, g_rows)) for j in range(n)]
+                             for row in sub.basis]) for sub in factor)
+        for factor in simplex)
 
 
 def activity(model, simplex) -> int:

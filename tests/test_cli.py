@@ -210,17 +210,26 @@ def test_rejected_complexes_are_error_reports_with_exit_two(capsys):
 
 def test_malformed_complex_file_is_an_error_report_with_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.cplx"
-    bad.write_text("#vertices x\n")
-    code, out = run(capsys, "homology", "--file", str(bad))
-    assert code == 2 and json.loads(out)["error"] == {
-        "type": "ComplexError",
-        "message": "malformed complex file: invalid literal for int() with base 10: 'x'"}
+    cases = [
+        ("#vertices x\n", "malformed complex file: invalid literal for int() with base 10: 'x'"),
+        # a negative index would alias a vertex from the end
+        ("#vertices 2\nsub F2 2 1 0 1\nsub F2 2 1 1 0\n-1\n0\n-1 0\n",
+         "simplex (-1, 0) is outside the vertex range"),
+    ]
+    for text, message in cases:
+        bad.write_text(text)
+        code, out = run(capsys, "homology", "--file", str(bad))
+        assert code == 2 and json.loads(out)["error"] == {"type": "ComplexError", "message": message}
 
 
 def test_malformed_collection_file_is_an_error_report_with_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.col"
-    bad.write_text("F2 2 x\n1 0\n")
-    code, out = run(capsys, "cbp", "--collection", str(bad))
-    assert code == 2 and json.loads(out)["error"] == {
-        "type": "CbpError",
-        "message": "malformed collection file: invalid literal for int() with base 10: 'x'"}
+    cases = [
+        ("F2 2 x\n1 0\n", "invalid literal for int() with base 10: 'x'"),
+        ("F2 -2 0\n", "empty matrix needs a column count >= 0, not -2"),
+    ]
+    for text, message in cases:
+        bad.write_text(text)
+        code, out = run(capsys, "cbp", "--collection", str(bad))
+        assert code == 2 and json.loads(out)["error"] == {
+            "type": "CbpError", "message": f"malformed collection file: {message}"}

@@ -1,4 +1,6 @@
 
+from itertools import combinations
+
 import pytest
 
 from commonbasis.exactlin import GF, ambient_module, span, zero_module
@@ -6,6 +8,8 @@ from commonbasis.simpmodel import (
     BasedChainMap,
     ModelError,
     _shuffles,
+    _spread_code,
+    _spreader,
     check_bar_model,
     check_suspension,
     d_model,
@@ -14,7 +18,14 @@ from commonbasis.simpmodel import (
     ordered_decompositions,
     tensor_chain_complex,
 )
-from helpers import activity, block_swap_rows, reference_model_complex, reference_model_simplices
+from helpers import (
+    activity,
+    apply_gl_to_simplex,
+    block_swap_rows,
+    reference_apply_degens,
+    reference_model_complex,
+    reference_model_simplices,
+)
 
 
 def sizes(model):
@@ -67,6 +78,31 @@ def test_decoded_view_matches_the_submodule_enumeration():
         for d, simps in want.items():
             assert tuple(m.simplices[d]) == simps, (a, b, n, p, d)
             assert m.index[d] == {s: i for i, s in enumerate(simps)}, (a, b, n, p, d)
+
+
+def test_spreading_a_code_equals_its_degeneracies():
+    # a code spread with its steps at `positions` is the simplex with the
+    # degeneracies at the other steps, and with its cores moved into a
+    # subspace it is that simplex's image
+    for a, b, n, p in MODEL_CLASSES:
+        m = d_model(a, b, n, p)
+        ring = GF(p)
+        zero = zero_module(ring, n)
+        part = span(ring, n + 1, [[int(i == j or j == n) for j in range(n + 1)] for i in range(n)])
+        spread, moved = _spreader(a, b, n, p), _spreader(a, b, n, p, part)
+        checked = 0
+        for r, codes in m.codes.items():
+            for code, simplex in zip(codes, m.simplices[r]):
+                for degree in range(r, r + 3):
+                    for positions in combinations(range(degree), r):
+                        missing = [j for j in range(degree) if j not in positions]
+                        want = reference_apply_degens(simplex, missing, a, zero)
+                        assert _spread_code(spread, code, positions, degree) == want, (a, b, n, p, code)
+                        if n <= 2:
+                            assert _spread_code(moved, code, positions, degree) == apply_gl_to_simplex(
+                                want, part.basis, ring, n + 1), (a, b, n, p, code)
+                        checked += 1
+        assert checked > len(m.codes), (a, b, n, p)
 
 
 def test_model_cap_is_checked_per_simplex():
@@ -201,8 +237,6 @@ def test_shuffle_product_strictly_associative():
 
 
 def test_mu_graded_commutativity_via_block_swap():
-    from commonbasis.simpmodel import apply_gl_to_simplex
-
     p = 2
     for (m, n) in [(1, 1), (1, 2)]:
         mu_f, pairs_f, mz = mu_chain(1, 0, m, n, p)

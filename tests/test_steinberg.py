@@ -6,8 +6,11 @@ import pytest
 from commonbasis.exactlin import GF, all_subspaces, span
 from commonbasis.homology import snf_divisors
 from commonbasis.simpmodel import ordered_decompositions
+from helpers import apply_gl_to_simplex, random_invertible_mod_p
 from commonbasis.steinberg import (
+    ST_CAPS,
     SteinbergError,
+    _gl_action_on_chain,
     bar_complex,
     bar_euler,
     compositions,
@@ -71,6 +74,20 @@ def test_steinberg_cycle_basis_is_read_back_by_express():
         assert st.cycles.rank == st_rank_classical(n, p)
     with pytest.raises(SteinbergError):  # one top simplex has a nonzero boundary
         st_module(2, 2).express([1] + [0] * (st_module(2, 2).top_size - 1))
+
+
+def test_gl_action_on_codes_equals_the_action_on_simplices():
+    # moving the flag cores and keeping the masks permutes the top simplices
+    # as relabelling every entry of every decoded simplex does
+    rng = random.Random(18)
+    for p in (2, 3):
+        for n in range(1, ST_CAPS[p] + 1):
+            st = st_module(n, p)
+            for _ in range(4):
+                g = random_invertible_mod_p(rng, n, p).entries
+                want = [st.model.index[n][apply_gl_to_simplex(s, g, GF(p), n)]
+                        for s in st.model.simplices[n]]
+                assert _gl_action_on_chain(g, st) == want, (n, p, g)
 
 
 def test_bar_euler_examples():
@@ -171,3 +188,10 @@ def test_tor_small_and_reports():
     blob = rep.to_jsonable()
     assert blob["cross_checks"] == {"two_factor_model": "pass", "join_rank": "pass"}
     assert blob["euler"] == 9
+
+
+def test_tor_rank_three_over_f3_is_koszul():
+    rep = tor(3, 3)
+    assert rep.profile.groups == ((3, 729, ()),)
+    assert rep.koszul and rep.tord_ok and rep.join_ok and rep.euler_ok
+    assert rep.euler == -729
