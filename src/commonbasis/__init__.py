@@ -10,7 +10,7 @@ as a library:
 * :mod:`commonbasis.cbp` -- two independent decision procedures for the
   common basis property plus the corank machinery;
 * :mod:`commonbasis.complexes` -- flag complexes, splitting complexes,
-  common basis complexes, higher buildings, joins/links/stars and the
+  common basis complexes, higher buildings, joins, links and the
   combinatorial Morse decomposition;
 * :mod:`commonbasis.homology` -- reduced integral simplicial homology via
   sparse Smith normal form;

@@ -1,7 +1,8 @@
 """Finite simplicial complexes: buildings, common basis complexes, joins.
 
 A :class:`SimplicialComplex` stores a deterministic vertex label sequence and
-the full set of faces as sorted index tuples.  Constructors here build:
+its faces as sorted index tuples, grouped by dimension into sorted levels.
+Constructors here build:
 
 * :func:`higher_tits` -- the subcomplex of a join of flag and splitting
   complexes cut out by the joint common basis property, relative to a fixed
@@ -143,42 +144,53 @@ def _parse_label_tokens(tokens: list[str]):
 class SimplicialComplex:
     """An abstract simplicial complex over a fixed vertex label sequence.
 
-    ``simplices`` is the set of all nonempty faces as sorted index tuples
-    (face closure is an invariant, checked at construction).  The empty
-    simplex is implicit: the homology module's augmentation supplies it.
+    ``levels`` is the one store of its nonempty faces: ``levels[d]`` maps
+    each d-simplex, a sorted index tuple, to its position among the
+    d-simplices.  A level lists its simplices in lexicographic order and the
+    levels run in increasing dimension; ``dump_complex`` writes this order
+    and ``homology.chains`` takes its bases from it.  Face closure is an
+    invariant, checked at construction: every facet of every d-simplex is
+    looked up in level d-1.  The empty simplex is implicit: the homology
+    module's augmentation supplies it.
     """
 
     def __init__(self, vertices: Sequence, simplices: Iterable[tuple[int, ...]]):
         self.vertices = tuple(vertices)
-        simps = frozenset(tuple(s) for s in simplices)
-        for s in simps:
+        by_dim: dict[int, list[tuple[int, ...]]] = {}
+        for s in frozenset(tuple(s) for s in simplices):
             if not s or list(s) != sorted(set(s)):
                 raise ComplexError(f"bad simplex tuple {s}")
             if s[0] < 0 or s[-1] >= len(self.vertices):
                 raise ComplexError(f"simplex {s} is outside the vertex range")
-            if len(s) > 1:
-                for i in range(len(s)):
-                    if s[:i] + s[i + 1:] not in simps:
-                        raise ComplexError(f"simplex set not closed under faces at {s}")
-        self._simplices = simps
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        self.levels: dict[int, dict[tuple[int, ...], int]] = {}
+        for d in sorted(by_dim):
+            level = sorted(by_dim.pop(d))
+            if d:
+                below = self.levels.get(d - 1, {})
+                for s in level:
+                    for i in range(d + 1):
+                        if s[:i] + s[i + 1:] not in below:
+                            raise ComplexError(f"simplex set not closed under faces at {s}")
+            self.levels[d] = {s: i for i, s in enumerate(level)}
         self._index = {lbl: i for i, lbl in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
             raise ComplexError("duplicate vertex labels")
 
     # -- basic queries -------------------------------------------------------
 
+    def __iter__(self):
+        """The simplices in the order of ``levels``."""
+        for level in self.levels.values():
+            yield from level
+
     def simplex_set(self) -> frozenset:
-        return self._simplices
+        """The simplices as a new frozenset, built on each call."""
+        return frozenset(self)
 
     def __contains__(self, simplex: tuple[int, ...]) -> bool:
-        return tuple(simplex) in self._simplices
-
-    def has_label_simplex(self, labels: Iterable) -> bool:
-        try:
-            idx = tuple(sorted(self._index[l] for l in labels))
-        except KeyError:
-            return False
-        return idx in self._simplices
+        simplex = tuple(simplex)
+        return simplex in self.levels.get(len(simplex) - 1, ())
 
     def label_simplex(self, simplex: Iterable[int]) -> frozenset:
         return frozenset(self.vertices[i] for i in simplex)
@@ -188,46 +200,28 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self._simplices), default=0) - 1
+        return max(self.levels, default=-1)
 
     def f_vector(self) -> list[int]:
-        counts = [0] * (self.dim + 1) if self._simplices else []
-        for s in self._simplices:
-            counts[len(s) - 1] += 1
-        return counts
+        return [len(level) for level in self.levels.values()]
 
     def num_simplices(self) -> int:
-        return len(self._simplices)
-
-    def simplices_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for s in self._simplices:
-            out.setdefault(len(s) - 1, []).append(s)
-        for d in out:
-            out[d].sort()
-        return out
-
-    def simplices_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        return sorted(s for s in self._simplices if len(s) == d + 1)
+        return sum(map(len, self.levels.values()))
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        if self.vertices == other.vertices:
-            return self._simplices <= other._simplices
         try:
-            mapped = {
-                tuple(sorted(other._index[self.vertices[i]] for i in s)) for s in self._simplices
-            }
+            return all(tuple(sorted(other._index[self.vertices[i]] for i in s)) in other
+                       for s in self)
         except KeyError:
             return False
-        return mapped <= other._simplices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.vertices == other.vertices and self._simplices == other._simplices
+        return self.vertices == other.vertices and self.levels == other.levels
 
     def __hash__(self):
-        return hash((self.vertices, self._simplices))
+        return hash((self.vertices, tuple(self)))
 
     def __repr__(self) -> str:
         return f"<SimplicialComplex {len(self.vertices)} vertices, f-vector {self.f_vector()}>"
@@ -238,32 +232,13 @@ class SimplicialComplex:
         """Subcomplex with the same vertex universe and the given simplices."""
         return SimplicialComplex(self.vertices, simplices)
 
-    def full_subcomplex(self, vertex_indices: Iterable[int]) -> "SimplicialComplex":
-        keep = frozenset(vertex_indices)
-        return self.restrict(s for s in self._simplices if keep.issuperset(s))
-
     def link(self, simplex: Sequence[int]) -> "SimplicialComplex":
         s = tuple(sorted(simplex))
-        if s not in self._simplices:
+        if s not in self:
             raise ComplexError(f"{s} is not a simplex")
         sset = set(s)
-        out = []
-        for t in self._simplices:
-            if sset.isdisjoint(t) and tuple(sorted(set(t) | sset)) in self._simplices:
-                out.append(t)
-        return self.restrict(out)
-
-    def star(self, simplex: Sequence[int]) -> "SimplicialComplex":
-        s = tuple(sorted(simplex))
-        if s not in self._simplices:
-            raise ComplexError(f"{s} is not a simplex")
-        sset = set(s)
-        # The star is the face closure of the simplices containing s.
-        closed: set[tuple[int, ...]] = set()
-        for t in self._simplices:
-            if sset.issubset(t):
-                _add_with_faces(closed, t)
-        return self.restrict(closed)
+        return self.restrict(t for t in self
+                             if sset.isdisjoint(t) and tuple(sorted(sset.union(t))) in self)
 
 
 def _add_with_faces(target: set, simplex: tuple[int, ...]) -> None:
@@ -277,37 +252,6 @@ def _add_with_faces(target: set, simplex: tuple[int, ...]) -> None:
             stack.extend(s[:i] + s[i + 1:] for i in range(len(s)))
 
 
-def from_label_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
-    """Complex generated by the given facets (faces closed automatically);
-    vertices are the labels appearing, in deterministic order."""
-    facet_list = [frozenset(f) for f in facets]
-    labels = sorted({l for f in facet_list for l in f}, key=_generic_key)
-    index = {l: i for i, l in enumerate(labels)}
-    simps: set[tuple[int, ...]] = set()
-    for f in facet_list:
-        _add_with_faces(simps, tuple(sorted(index[l] for l in f)))
-    return SimplicialComplex(labels, simps)
-
-
-def from_label_simplices(simplices: Iterable[Iterable]) -> SimplicialComplex:
-    """Complex from an already face-closed family of label simplices."""
-    simp_list = [frozenset(s) for s in simplices]
-    labels = sorted({l for s in simp_list for l in s}, key=_generic_key)
-    index = {l: i for i, l in enumerate(labels)}
-    return SimplicialComplex(labels, {tuple(sorted(index[l] for l in s)) for s in simp_list})
-
-
-def _generic_key(label):
-    try:
-        return label_key(label)
-    except ComplexError:
-        return (9, repr(label))
-
-
-def empty_complex() -> SimplicialComplex:
-    return SimplicialComplex((), ())
-
-
 # ---------------------------------------------------------------------------
 # Joins.
 # ---------------------------------------------------------------------------
@@ -317,13 +261,8 @@ def join(k: SimplicialComplex, l: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; vertex labels carry slot tags 0 and 1."""
     vertices = [(0, v) for v in k.vertices] + [(1, w) for w in l.vertices]
     offset = len(k.vertices)
-    simps = set()
-    k_simps = [()] + sorted(k.simplex_set())
-    l_simps = [()] + sorted(l.simplex_set())
-    for s in k_simps:
-        for t in l_simps:
-            if s or t:
-                simps.add(tuple(list(s) + [offset + i for i in t]))
+    l_simps = [()] + [tuple(offset + i for i in t) for t in l]
+    simps = [s + t for s in [(), *k] for t in l_simps if s or t]
     return SimplicialComplex(vertices, simps)
 
 
@@ -369,10 +308,12 @@ def _clique_complex(
             if edge(i, j):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    simplices: set[tuple[int, ...]] = {(i,) for i in vertices}
+    # one set of simplices per dimension: the facet filter reads the last
+    levels: list[set[tuple[int, ...]]] = [{(i,) for i in vertices}]
+    count = len(vertices)
     level: list[tuple[tuple[int, ...], int]] = [((i,), adj[i]) for i in vertices]
     while level and (max_dim is None or len(level[0][0]) <= max_dim):
-        nxt = []
+        below, grown, nxt = levels[-1], set(), []
         for simplex, common in level:
             m = common >> (simplex[-1] + 1)
             base = simplex[-1] + 1
@@ -383,20 +324,23 @@ def _clique_complex(
                 cand = simplex + (v,)
                 if len(cand) > 2:
                     # All facets must already be simplices.
-                    if any(cand[:i] + cand[i + 1:] not in simplices for i in range(len(cand) - 1)):
+                    if any(cand[:i] + cand[i + 1:] not in below for i in range(len(cand) - 1)):
                         continue
                 if accept is not None and not accept(cand):
                     continue
-                simplices.add(cand)
-                if len(simplices) > max_simplices:
+                grown.add(cand)
+                count += 1
+                if count > max_simplices:
                     raise CapExceeded(f"more than {max_simplices} simplices")
                 nxt.append((cand, common & adj[v]))
+        levels.append(grown)
         level = nxt
+    simplices = (s for grown in levels for s in grown)
     if len(vertices) < n:
         # Only accepted labels are vertices: compact them, in their order.
         new_index = {i: k for k, i in enumerate(vertices)}
         labels = [labels[i] for i in vertices]
-        simplices = {tuple(new_index[v] for v in s) for s in simplices}
+        simplices = (tuple(new_index[v] for v in s) for s in simplices)
     return SimplicialComplex(labels, simplices)
 
 
@@ -570,17 +514,6 @@ def is_simplex_over_Z(members: Collection) -> bool:
     return has_cbp_ie(members)
 
 
-def intersect_complexes(complexes: Sequence[SimplicialComplex]) -> SimplicialComplex:
-    """Intersection as sets of label simplices."""
-    if not complexes:
-        raise ComplexError("need at least one complex")
-    common = None
-    for k in complexes:
-        label_simps = {k.label_simplex(s) for s in k.simplex_set()}
-        common = label_simps if common is None else common & label_simps
-    return from_label_simplices(common)
-
-
 # ---------------------------------------------------------------------------
 # Combinatorial Morse decomposition.
 # ---------------------------------------------------------------------------
@@ -603,13 +536,9 @@ def morse_check(x: SimplicialComplex, s: Iterable[tuple[int, ...]],
     members of S, ready for the homology certificate."""
     s_set = frozenset(tuple(t) for t in s)
     for t in s_set:
-        if t not in x.simplex_set():
+        if t not in x:
             raise MorseHypothesisViolated("i", t)
-    y_simplices = {
-        t for t in x.simplex_set()
-        if not any(f in s_set for f in _faces_of(t))
-    }
-    y = x.restrict(y_simplices)
+    y = x.restrict(t for t in x if not any(f in s_set for f in _faces_of(t)))
     if expected_subcomplex is not None:
         expected = expected_subcomplex
         if expected.vertices != x.vertices:
@@ -617,16 +546,16 @@ def morse_check(x: SimplicialComplex, s: Iterable[tuple[int, ...]],
                 raise MorseHypothesisViolated("i", "claimed subcomplex is not inside the complex")
             expected = x.restrict(
                 tuple(sorted(x.index_of(lbl) for lbl in expected.label_simplex(t)))
-                for t in expected.simplex_set()
+                for t in expected
             )
-        if expected.simplex_set() != y_simplices:
-            diff = expected.simplex_set() ^ y_simplices
+        if expected != y:
+            diff = set(expected) ^ set(y)
             raise MorseHypothesisViolated("i", sorted(diff)[:3])
     pairs = sorted(s_set)
     for i, t1 in enumerate(pairs):
         for t2 in pairs[i + 1:]:
             union = tuple(sorted(set(t1) | set(t2)))
-            if union in x.simplex_set():
+            if union in x:
                 raise MorseHypothesisViolated("ii", (t1, t2))
     links = {t: x.link(t) for t in pairs}
     return MorseInstance(x, s_set, y, links)
@@ -685,7 +614,7 @@ def random_morse_instance(rng, max_vertices: int = 8, max_facets: int = 10,
     for facet in facets:
         _add_with_faces(simps, tuple(sorted(relabel[v] for v in facet)))
     x = SimplicialComplex(tuple(labels), simps)
-    candidates = sorted(x.simplex_set(), key=lambda t: (len(t), t))
+    candidates = list(x)
     rng.shuffle(candidates)
     chosen: list[tuple[int, ...]] = []
     want = rng.randint(1, 3)
@@ -693,7 +622,7 @@ def random_morse_instance(rng, max_vertices: int = 8, max_facets: int = 10,
         ok = True
         for prev in chosen:
             union = tuple(sorted(set(prev) | set(cand)))
-            if union in x.simplex_set():
+            if union in x:
                 ok = False
                 break
         if ok:
@@ -711,8 +640,7 @@ def random_morse_instance(rng, max_vertices: int = 8, max_facets: int = 10,
 def dump_complex(k: SimplicialComplex) -> str:
     lines = [f"#vertices {len(k.vertices)}"]
     lines.extend(dump_label(v) for v in k.vertices)
-    for s in sorted(k.simplex_set(), key=lambda t: (len(t), t)):
-        lines.append(" ".join(str(i) for i in s))
+    lines.extend(" ".join(map(str, s)) for s in k)
     return "\n".join(lines) + "\n"
 
 

@@ -421,30 +421,23 @@ def _simplex_faces(d: int, simplex: tuple[int, ...]) -> list[tuple[tuple[int, ..
 def chains(complex_) -> ChainComplex:
     """The reduced (augmented) simplicial chain complex of an abstract
     simplicial complex, with the standard alternating-sign boundary taken in
-    the complex's deterministic vertex order.  Degree -1 is the empty
-    simplex; the empty complex has only that degree."""
-    index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
-    for d, simps in complex_.simplices_by_dim().items():
-        index[d] = {s: i for i, s in enumerate(simps)}
-    return assemble(index, _simplex_faces)
+    the complex's deterministic vertex order.  The bases are the complex's
+    ``levels``, in their order, and degree -1 is the empty simplex; the
+    empty complex has only that degree."""
+    return assemble({-1: {(): 0}, **complex_.levels}, _simplex_faces)
 
 
 def relative_chains(x, y) -> ChainComplex:
     """The quotient chain complex of a pair: simplices of ``x`` not in ``y``,
-    faces in ``y`` and the empty face left out, no augmentation."""
+    in the order of ``x.levels``, with faces in ``y`` and the empty face
+    left out, no augmentation."""
     if not y.is_subcomplex_of(x):
         raise HomologyError("second complex is not a subcomplex of the first")
-    if y.vertices == x.vertices:
-        y_simplices = y.simplex_set()
-    else:
-        # re-express the subcomplex in the ambient complex's vertex indices
-        y_simplices = {
-            tuple(sorted(x.index_of(lbl) for lbl in y.label_simplex(s)))
-            for s in y.simplex_set()
-        }
+    # the subcomplex in the ambient complex's vertex indices
+    y_simplices = {tuple(sorted(x.index_of(lbl) for lbl in y.label_simplex(s))) for s in y}
     index: dict[int, dict[tuple[int, ...], int]] = {}
-    for d, simps in x.simplices_by_dim().items():
-        kept = [s for s in simps if s not in y_simplices]
+    for d, level in x.levels.items():
+        kept = [s for s in level if s not in y_simplices]
         if kept:
             index[d] = {s: i for i, s in enumerate(kept)}
 

@@ -209,11 +209,11 @@ def _block_product(a: int, b: int, p: int) -> dict[tuple[int, int], list[int]]:
     return out
 
 
-def transport_rows(a_sub: Submodule, b_sub: Submodule) -> tuple[tuple[int, ...], ...]:
+def transport_rows(a_sub: Submodule, b_sub: Submodule,
+                   total: Submodule) -> tuple[tuple[int, ...], ...]:
     """The change of coordinates comparing the block identification of
-    A (+) B with the canonical basis of the sum: row i is the i-th stacked
-    basis row of A then B, written in the canonical basis of A + B."""
-    total = a_sub + b_sub
+    A (+) B with the canonical basis of the sum ``total`` = A + B: row i is
+    the i-th stacked basis row of A then B, written in that basis."""
     if total.rank != a_sub.rank + b_sub.rank:
         raise SteinbergError("summands are not independent")
     rows = []
@@ -233,10 +233,11 @@ def st_multiply(a_sub: Submodule, x_coeffs: Sequence[int], b_sub: Submodule,
     p = a_sub.ring.p
     a, b = a_sub.rank, b_sub.rank
     target = st_module(a + b, p)
+    total = a_sub + b_sub
     if a == 0:
-        return (a_sub + b_sub), list(y_coeffs)
+        return total, list(y_coeffs)
     if b == 0:
-        return (a_sub + b_sub), list(x_coeffs)
+        return total, list(x_coeffs)
     products = _block_product(a, b, p)
     size = target.top_size
     acc = [0] * size
@@ -249,13 +250,13 @@ def st_multiply(a_sub: Submodule, x_coeffs: Sequence[int], b_sub: Submodule,
                 for r in range(size):
                     if vec[r]:
                         acc[r] += xv * yv * vec[r]
-    g = transport_rows(a_sub, b_sub)
+    g = transport_rows(a_sub, b_sub, total)
     action = _gl_action_on_chain(g, target)
     out = [0] * size
     for c, v in enumerate(acc):
         if v:
             out[action[c]] += v
-    return (a_sub + b_sub), target.express(out)
+    return total, target.express(out)
 
 
 @lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)

@@ -2,7 +2,8 @@
 self-contained brute-force common-basis oracle over prime fields, reference
 builders of the common basis complex and the higher buildings, reference
 enumerations and assemblies of models, the heap-only sparse Smith form,
-and small matrix utilities that only tests read.
+the sort-and-index route to simplicial chains, and small matrix and
+complex utilities that only tests read.
 
 The oracle deliberately reimplements its linear algebra from scratch
 (vector enumeration and set comparison only), so that it shares no code
@@ -22,7 +23,16 @@ from commonbasis.cbp import (
     Collection,
     has_cbp_ie,
 )
-from commonbasis.complexes import _clique_complex, _st_less, label_key, label_members
+from commonbasis.complexes import (
+    ComplexError,
+    SimplicialComplex,
+    _add_with_faces,
+    _clique_complex,
+    _st_less,
+    dump_label,
+    label_key,
+    label_members,
+)
 from commonbasis.exactlin import (
     GF,
     ZZ,
@@ -41,7 +51,7 @@ from commonbasis.exactlin import (
     _extend_inside,
     _snf_dense,
 )
-from commonbasis.homology import ChainComplex, _normalize_chain
+from commonbasis.homology import ChainComplex, _normalize_chain, _simplex_faces, assemble
 from commonbasis.simpmodel import SemiSimplicialModel, _l_cores, _sl_cores
 
 # ---------------------------------------------------------------------------
@@ -87,6 +97,120 @@ def block_swap_rows(a: int, b: int) -> tuple[tuple[int, ...], ...]:
     for i in range(b):
         rows.append(tuple(1 if j == i else 0 for j in range(n)))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# Complex utilities read only by tests.
+# ---------------------------------------------------------------------------
+
+
+def empty_complex() -> SimplicialComplex:
+    return SimplicialComplex((), ())
+
+
+def _generic_key(label):
+    try:
+        return label_key(label)
+    except ComplexError:
+        return (9, repr(label))
+
+
+def from_label_facets(facets) -> SimplicialComplex:
+    """Complex generated by the given facets (faces closed automatically);
+    vertices are the labels appearing, in deterministic order."""
+    facet_list = [frozenset(f) for f in facets]
+    labels = sorted({l for f in facet_list for l in f}, key=_generic_key)
+    index = {l: i for i, l in enumerate(labels)}
+    simps: set[tuple[int, ...]] = set()
+    for f in facet_list:
+        _add_with_faces(simps, tuple(sorted(index[l] for l in f)))
+    return SimplicialComplex(labels, simps)
+
+
+def from_label_simplices(simplices) -> SimplicialComplex:
+    """Complex from an already face-closed family of label simplices."""
+    simp_list = [frozenset(s) for s in simplices]
+    labels = sorted({l for s in simp_list for l in s}, key=_generic_key)
+    index = {l: i for i, l in enumerate(labels)}
+    return SimplicialComplex(labels, {tuple(sorted(index[l] for l in s)) for s in simp_list})
+
+
+def intersect_complexes(complexes) -> SimplicialComplex:
+    """Intersection as sets of label simplices."""
+    if not complexes:
+        raise ComplexError("need at least one complex")
+    common = None
+    for k in complexes:
+        label_simps = {k.label_simplex(s) for s in k.simplex_set()}
+        common = label_simps if common is None else common & label_simps
+    return from_label_simplices(common)
+
+
+def has_label_simplex(k: SimplicialComplex, labels) -> bool:
+    try:
+        idx = tuple(sorted(k.index_of(l) for l in labels))
+    except KeyError:
+        return False
+    return idx in k
+
+
+def simplices_of_dim(k: SimplicialComplex, d: int) -> list[tuple[int, ...]]:
+    return sorted(s for s in k.simplex_set() if len(s) == d + 1)
+
+
+def full_subcomplex(k: SimplicialComplex, vertex_indices) -> SimplicialComplex:
+    keep = frozenset(vertex_indices)
+    return k.restrict(s for s in k.simplex_set() if keep.issuperset(s))
+
+
+def star(k: SimplicialComplex, simplex) -> SimplicialComplex:
+    """The face closure of the simplices containing ``simplex``."""
+    s = tuple(sorted(simplex))
+    if s not in k:
+        raise ComplexError(f"{s} is not a simplex")
+    sset = set(s)
+    closed: set[tuple[int, ...]] = set()
+    for t in k.simplex_set():
+        if sset.issubset(t):
+            _add_with_faces(closed, t)
+    return k.restrict(closed)
+
+
+# ---------------------------------------------------------------------------
+# The sort-and-index route to simplicial chains: the simplex frozenset is
+# grouped by dimension, each group sorted and indexed afresh, and the faces
+# looked up in that index; dumps sort the frozenset by (size, tuple).
+# ---------------------------------------------------------------------------
+
+
+def _reference_index(simplices) -> dict[int, dict[tuple[int, ...], int]]:
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return {d: {s: i for i, s in enumerate(sorted(simps))} for d, simps in by_dim.items()}
+
+
+def reference_chains(x: SimplicialComplex, y: SimplicialComplex | None = None) -> ChainComplex:
+    """The augmented chains of ``x``, or with ``y`` the quotient chains of
+    the pair ``(x, y)``, from a fresh index of ``x.simplex_set()``."""
+    if y is None:
+        return assemble({-1: {(): 0}, **_reference_index(x.simplex_set())}, _simplex_faces)
+    y_simplices = {tuple(sorted(x.index_of(lbl) for lbl in y.label_simplex(s)))
+                   for s in y.simplex_set()}
+    index = _reference_index(s for s in x.simplex_set() if s not in y_simplices)
+
+    def faces(d: int, simplex: tuple[int, ...]):
+        return ((f, c) for f, c in _simplex_faces(d, simplex) if f and f not in y_simplices)
+
+    return assemble(index, faces)
+
+
+def reference_dump_complex(k: SimplicialComplex) -> str:
+    lines = [f"#vertices {len(k.vertices)}"]
+    lines.extend(dump_label(v) for v in k.vertices)
+    for s in sorted(k.simplex_set(), key=lambda t: (len(t), t)):
+        lines.append(" ".join(str(i) for i in s))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

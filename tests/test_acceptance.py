@@ -15,7 +15,6 @@ from commonbasis.complexes import (
     MorseHypothesisViolated,
     common_basis_complex,
     higher_tits,
-    intersect_complexes,
     is_simplex_over_Z,
     join,
     morse_certificate,
@@ -29,6 +28,7 @@ from commonbasis.simpmodel import check_bar_model, check_suspension
 from commonbasis.steinberg import bar_euler, st_module, st_rank_classical, tor
 from helpers import (
     brute_force_cbp,
+    intersect_complexes,
     random_flag_Z,
     random_split_submodule,
     random_subspace,

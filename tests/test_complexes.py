@@ -5,15 +5,13 @@ import pytest
 from commonbasis import cbp, complexes
 from commonbasis.cbp import collection
 from commonbasis.complexes import (
-    from_label_facets,
     CapExceeded,
     ComplexError,
     MorseHypothesisViolated,
+    SimplicialComplex,
     common_basis_complex,
     dump_complex,
-    empty_complex,
     higher_tits,
-    intersect_complexes,
     is_simplex_over_Z,
     join,
     load_complex,
@@ -27,7 +25,18 @@ from commonbasis.complexes import (
 )
 from commonbasis.exactlin import GF, ZZ, all_subspaces, ambient_module, span
 from commonbasis.homology import chains, homology
-from helpers import brute_force_cbp, reference_common_basis_complex, reference_higher_tits
+from helpers import (
+    brute_force_cbp,
+    empty_complex,
+    from_label_facets,
+    full_subcomplex,
+    has_label_simplex,
+    intersect_complexes,
+    reference_common_basis_complex,
+    reference_higher_tits,
+    simplices_of_dim,
+    star,
+)
 
 
 def test_tits_counts():
@@ -48,8 +57,8 @@ def test_split_tits_simplices_match_splittings():
     from commonbasis.simpmodel import ordered_decompositions
 
     st32 = split_tits(3, 2)
-    assert len(st32.simplices_of_dim(1)) == len(ordered_decompositions(3, 2, 3))
-    assert len(st32.simplices_of_dim(0)) == len(ordered_decompositions(3, 2, 2))
+    assert len(simplices_of_dim(st32, 1)) == len(ordered_decompositions(3, 2, 3))
+    assert len(simplices_of_dim(st32, 0)) == len(ordered_decompositions(3, 2, 2))
 
 
 def test_st_splitting_bijection_round_trip():
@@ -108,8 +117,8 @@ def test_relative_building_is_full_subcomplex():
             sigma = collection([cb.vertices[i] for i in s], ring=GF(p), ambient=n)
             rel = higher_tits(1, 0, n, p, sigma)
             verts = [t.index_of(v) for v in rel.vertices
-                     if rel.has_label_simplex([v])]
-            full = t.full_subcomplex(verts)
+                     if has_label_simplex(rel, [v])]
+            full = full_subcomplex(t, verts)
             assert {rel.label_simplex(x) for x in rel.simplex_set()} == {
                 full.label_simplex(x) for x in full.simplex_set()
             }
@@ -141,11 +150,28 @@ def test_join_link_star_basics():
     tri = common_basis_complex(2, 2)
     link = tri.link((0,))
     assert link.f_vector() == [2]
-    star = tri.star((0,))
-    assert star.f_vector() == [3, 2]
-    assert tri.full_subcomplex([0, 1, 2]) == tri
+    assert star(tri, (0,)).f_vector() == [3, 2]
+    assert full_subcomplex(tri, [0, 1, 2]) == tri
     with pytest.raises(ComplexError):
         tri.link((0, 1, 2))
+
+
+def test_closure_check_looks_up_every_facet_one_level_down():
+    cases = [
+        ([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)], (0, 1, 2)),  # the facet (0, 2) is missing
+        ([(0,), (0, 1)], (0, 1)),  # the vertex (1,) is missing
+        ([(0,), (1,), (2,), (0, 1, 2)], (0, 1, 2)),  # no edges: a whole level is skipped
+    ]
+    for simplices, at in cases:
+        with pytest.raises(ComplexError) as err:
+            SimplicialComplex("abc", simplices)
+        assert str(err.value) == f"simplex set not closed under faces at {at}"
+    # a simplex given twice is one simplex
+    twice = SimplicialComplex("ab", [(0, 1), (1,), (0,), (0, 1), (1,)])
+    assert twice.levels == {0: {(0,): 0, (1,): 1}, 1: {(0, 1): 0}}
+    assert twice == SimplicialComplex("ab", [(0,), (1,), (0, 1)]) and twice.num_simplices() == 3
+    empty = SimplicialComplex((), ())
+    assert empty.levels == {} and empty.f_vector() == [] and empty.dim == -1 and () not in empty
 
 
 def test_deterministic_rebuild_byte_exact():

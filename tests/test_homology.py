@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from commonbasis.cbp import collection
 from commonbasis.complexes import (
     common_basis_complex,
-    empty_complex,
-    from_label_facets,
+    dump_complex,
     higher_tits,
     join,
+    load_complex,
     morse_check,
     random_morse_instance,
+    split_tits,
     tits,
 )
 from commonbasis.exactlin import GF, _snf_dense
@@ -30,7 +31,13 @@ from commonbasis.homology import (
 )
 from commonbasis.simpmodel import d_model
 from commonbasis.steinberg import bar_complex
-from helpers import reference_snf_divisors
+from helpers import (
+    empty_complex,
+    from_label_facets,
+    reference_chains,
+    reference_dump_complex,
+    reference_snf_divisors,
+)
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -85,6 +92,45 @@ def test_assemble_rejects_an_unindexed_face():
         assemble(index, lambda d, e: [("w", 1)] if d == 1 else [])
     with pytest.raises(HomologyError):
         assemble(index, lambda d, e: [("v", 1)])  # degree 0 has no degree -1
+
+
+def test_levels_order_equals_the_sort_and_index_route(tmp_path):
+    # chains, relative_chains and dump_complex read a complex's levels; the
+    # route that sorts its simplex frozenset and indexes it afresh gives the
+    # same bases, the same boundaries entry for entry and the same bytes
+    cb32, t32, st32 = common_basis_complex(3, 2), tits(3, 2), split_tits(3, 2)
+    sigma = collection([cb32.vertices[0], cb32.vertices[-1]], ring=GF(2), ambient=3)
+    relative = higher_tits(1, 0, 3, 2, sigma)
+    lines = dump_complex(st32).splitlines()
+    head = 1 + len(st32.vertices)
+    reversed_file = tmp_path / "reversed.cplx"  # the simplex lines in reverse order
+    reversed_file.write_text("\n".join(lines[:head] + lines[head:][::-1]) + "\n")
+    loaded = load_complex(reversed_file.read_text())
+    assert loaded == st32
+    x, s = _cone_over_rp2_morse()
+    classes = {
+        "tits(3,3)": tits(3, 3),
+        "split_tits(3,2)": st32,
+        "common_basis_complex(3,2)": cb32,
+        "higher_tits(2,0,3,2)": higher_tits(2, 0, 3, 2),
+        "higher_tits(1,1,2,3)": higher_tits(1, 1, 2, 3),
+        "relative building": relative,
+        "join": join(tits(2, 2), t32),
+        "link": cb32.link((0,)),
+        "restrict": t32.restrict(t for t in t32 if 0 not in t),
+        "loaded file": loaded,
+        "empty": empty_complex(),
+    }
+    for name, k in classes.items():
+        c, ref = chains(k), reference_chains(k)
+        assert c.sizes == ref.sizes and c.boundaries == ref.boundaries, name
+        assert dump_complex(k) == reference_dump_complex(k), name
+    pairs = [(cb32, t32), (t32, relative), (cb32, classes["link"]), (t32, classes["restrict"]),
+             (cb32, cb32), (t32, empty_complex()), (x, morse_check(x, s).subcomplex),
+             (empty_complex(), empty_complex())]
+    for k, sub in pairs:
+        c, ref = relative_chains(k, sub), reference_chains(k, sub)
+        assert c.sizes == ref.sizes and c.boundaries == ref.boundaries, (k, sub)
 
 
 def test_torsion_detected_projective_plane():
