@@ -27,6 +27,7 @@ wedge of suspended links; the homology module referees the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 from . import homology as _homology
@@ -158,7 +159,7 @@ class SimplicialComplex:
         self.vertices = tuple(vertices)
         by_dim: dict[int, list[tuple[int, ...]]] = {}
         for s in frozenset(tuple(s) for s in simplices):
-            if not s or list(s) != sorted(set(s)):
+            if not s or not all(map(lt, s, s[1:])):
                 raise ComplexError(f"bad simplex tuple {s}")
             if s[0] < 0 or s[-1] >= len(self.vertices):
                 raise ComplexError(f"simplex {s} is outside the vertex range")

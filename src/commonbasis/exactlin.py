@@ -15,7 +15,8 @@ Canonical forms are unique, so structural equality of :class:`Submodule`
 decides equality of submodules, and the flattened basis matrix gives a
 deterministic total order used for reproducible vertex orderings downstream.
 Over the integers the stored rows generate the submodule exactly, not merely
-a finite-index sublattice.
+a finite-index sublattice.  An intersection is one echelon form of the
+Zassenhaus rows ``(u | u)`` and ``(w | 0)``, whose bottom block is canonical.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(ring: Ring, rows: Iterable[Sequence[int]], cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(ring.reduce(x) for x in row) for row in rows)
+        data = tuple(tuple(x % ring.p for x in row) if ring.p else tuple(row) for row in rows)
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -122,11 +123,6 @@ class Matrix:
 
     def row_list(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.ring != self.ring or other.cols != self.cols:
-            raise AmbientMismatch("cannot stack")
-        return Matrix(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +325,6 @@ class Submodule:
     def sort_key(self) -> tuple[int, ...]:
         return tuple(x for row in self.basis for x in row)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.ring, self.rank, self.ambient, self.basis)
-
     # -- set-style operators ------------------------------------------------
 
     def __add__(self, other: "Submodule") -> "Submodule":
@@ -397,7 +390,7 @@ def span_sum(u: Submodule, w: Submodule) -> Submodule:
     """The submodule generated by ``u`` and ``w`` together.  Over the
     integers the sum of split submodules need not be split."""
     _check_same_ambient(u, w)
-    return canonicalize(u.basis_matrix().stack(w.basis_matrix()))
+    return span(u.ring, u.ambient, u.basis + w.basis)
 
 
 def sum_of(modules: Iterable[Submodule], ring: Ring, ambient: int) -> Submodule:
@@ -418,25 +411,25 @@ def left_kernel(m: Matrix) -> Matrix:
     return Matrix.from_rows(m.ring, [row[m.cols:] for row in full[len(pivots):]], m.rows)
 
 
+# Zassenhaus: the rows (u | u), u in a basis of U, and (w | 0), w in a basis
+# of W, span {(a + b, a) : a in U, b in W}, whose elements with zero left half
+# (b = -a) are 0 + (U & W).  In an echelon form a combination is nonzero at
+# the pivot of its first row with a nonzero coefficient, so those elements are
+# exactly the combinations (integral over Z) of the rows with pivot >= n.  The
+# rows form the bottom block of the HNF or RREF, itself one: their right
+# halves are the canonical basis of U & W.
 def intersect(u: Submodule, w: Submodule) -> Submodule:
-    """Set-theoretic intersection, exact over both rings.  Computed from the
-    kernel of the stacked-basis map, then pushed forward through ``u``."""
+    """Set-theoretic intersection, exact over both rings, from one echelon
+    form of the Zassenhaus rows (see above)."""
     _check_same_ambient(u, w)
     if u.is_zero or w.is_zero:
         return zero_module(u.ring, u.ambient)
     if u.is_ambient or w.is_ambient:  # the other operand is already canonical
         return w if u.is_ambient else u
-    stacked = u.basis_matrix().stack(w.basis_matrix())
-    ker = left_kernel(stacked)
-    rows = []
-    for krow in ker.entries:
-        vec = [0] * u.ambient
-        for coeff, brow in zip(krow[: u.rank], u.basis):
-            if coeff:
-                for j, x in enumerate(brow):
-                    vec[j] += coeff * x
-        rows.append(vec)
-    return span(u.ring, u.ambient, rows)
+    n = u.ambient
+    rows = [list(r + r) for r in u.basis] + [list(r) + [0] * n for r in w.basis]
+    full, pivots = _echelon(u.ring, rows, 2 * n)
+    return Submodule(u.ring, n, tuple(tuple(full[i][n:]) for i, c in enumerate(pivots) if c >= n))
 
 
 def member(u: Submodule, vector: Sequence[int]) -> bool:

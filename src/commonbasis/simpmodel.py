@@ -77,7 +77,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .cbp import Collection, has_cbp_ie
 from .complexes import DEFAULT_MAX_SIMPLICES, DEFAULT_MAX_VERTICES, higher_tits
@@ -457,15 +457,19 @@ def d_model(a: int, b: int, n: int, p: int, max_simplices: int = DEFAULT_MODEL_C
     factor_cores = [_l_cores(n, p) for _ in range(a)] + [_sl_cores(n, p) for _ in range(b)]
 
     by_degree: dict[int, list[tuple[int, ...]]] = {}
+    coverings: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
     count = 0
     for ids in product(*(range(len(cores)) for cores in factor_cores)):
         combo = [cores[c] for cores, c in zip(factor_cores, ids)]
-        sizes = [len(core) + 1 for core in combo[:a]] + [len(core) for core in combo[a:]]
+        sizes = tuple(len(core) + 1 for core in combo[:a]) + tuple(len(core) for core in combo[a:])
         members = SemiSimplicialModel.members_of(combo)
         if members and not has_cbp_ie(Collection(ring, n, members)):
             continue
         for degree in range(max(sizes), sum(sizes) + 1):
-            for masks in _coverings(sizes, degree):
+            if (sizes, degree) not in coverings:
+                # one covering past the cap already makes the loop below raise
+                coverings[sizes, degree] = list(islice(_coverings(sizes, degree), max_simplices + 1 - count))
+            for masks in coverings[sizes, degree]:
                 by_degree.setdefault(degree, []).append(ids + masks)
                 count += 1
                 if count > max_simplices:

@@ -1,9 +1,10 @@
 """Shared test fixtures: seeded random generators over Z, the
-self-contained brute-force common-basis oracle over prime fields, reference
-builders of the common basis complex and the higher buildings, reference
-enumerations and assemblies of models, the heap-only sparse Smith form,
-the sort-and-index route to simplicial chains, and small matrix and
-complex utilities that only tests read.
+self-contained brute-force common-basis oracle over prime fields, the
+kernel route to an intersection, reference builders of the common basis
+complex and the higher buildings, reference enumerations and assemblies of
+models, the heap-only sparse Smith form, the sort-and-index route to
+simplicial chains, and small matrix and complex utilities that only tests
+read.
 
 The oracle deliberately reimplements its linear algebra from scratch
 (vector enumeration and set comparison only), so that it shares no code
@@ -36,6 +37,7 @@ from commonbasis.complexes import (
 from commonbasis.exactlin import (
     GF,
     ZZ,
+    AmbientMismatch,
     Matrix,
     Submodule,
     ambient_module,
@@ -223,7 +225,7 @@ def saturate(sub: Submodule) -> Submodule:
     span), via a double integer kernel."""
     if sub.is_zero:
         return sub
-    ker = left_kernel(transpose(sub.basis_matrix()))
+    ker = left_kernel(transpose(Matrix.from_rows(ZZ, sub.basis, sub.ambient)))
     sat = left_kernel(transpose(ker))
     return canonicalize(sat)
 
@@ -269,6 +271,29 @@ def random_subspace(rng: random.Random, n: int, p: int, max_rank: int | None = N
     r = rng.randint(0, max_rank)
     rows = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
     return span(GF(p), n, rows)
+
+
+# ---------------------------------------------------------------------------
+# The kernel route to an intersection, the reference for exactlin.intersect.
+# ---------------------------------------------------------------------------
+
+
+def reference_intersect(u: Submodule, w: Submodule) -> Submodule:
+    """U & W from the left kernel of the stacked bases, pushed forward
+    through ``u`` and canonicalized; no zero or ambient shortcut."""
+    if u.ring != w.ring or u.ambient != w.ambient:
+        raise AmbientMismatch(f"{u!r} vs {w!r}")
+    stacked = Matrix.from_rows(u.ring, u.basis + w.basis, u.ambient)
+    ker = left_kernel(stacked)
+    rows = []
+    for krow in ker.entries:
+        vec = [0] * u.ambient
+        for coeff, brow in zip(krow[: u.rank], u.basis):
+            if coeff:
+                for j, x in enumerate(brow):
+                    vec[j] += coeff * x
+        rows.append(vec)
+    return span(u.ring, u.ambient, rows)
 
 
 # ---------------------------------------------------------------------------

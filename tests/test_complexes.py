@@ -156,6 +156,13 @@ def test_join_link_star_basics():
         tri.link((0, 1, 2))
 
 
+def test_simplex_tuples_must_be_strictly_increasing():
+    for bad in [(1, 0), (0, 0), (), (0, 2, 1)]:
+        with pytest.raises(ComplexError) as err:
+            SimplicialComplex("abc", [(0,), (1,), (2,), bad])
+        assert str(err.value) == f"bad simplex tuple {bad}"
+
+
 def test_closure_check_looks_up_every_facet_one_level_down():
     cases = [
         ([(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)], (0, 1, 2)),  # the facet (0, 2) is missing

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commonbasis import exactlin
 from commonbasis.exactlin import (
     GF,
     ZZ,
@@ -39,6 +40,7 @@ from helpers import (
     quotient_torsion_divisors,
     random_split_submodule,
     random_unimodular,
+    reference_intersect,
     saturate,
 )
 
@@ -57,6 +59,15 @@ def test_canonicalize_gcd_row():
 
 def test_canonicalize_full_rank_f2():
     assert span(GF(2), 2, [(1, 1), (0, 1)]).basis == ((1, 0), (0, 1))
+
+
+def test_span_input_checks():
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        span(ZZ, 2, [(1, 0), (1,)])
+    with pytest.raises(ValueError, match="^cols does not match row width$"):
+        span(ZZ, 3, [(1, 0)])
+    assert Matrix.from_rows(GF(3), [[4, -1]]).entries == ((1, 2),)
+    assert Matrix.from_rows(ZZ, [[4, -1]]).entries == ((4, -1),)
 
 
 def test_canonicalize_empty():
@@ -215,6 +226,80 @@ def test_intersect_is_exact_over_Z():
             assert member(u, row) and member(w, row)
         # rank identity over the rationals
         assert u.rank + w.rank == span_sum(u, w).rank + both.rank
+
+
+_KINDS = ("zero", "ambient", "equal", "nested", "random")
+
+
+def _intersection_pairs(rng: random.Random):
+    """Operand pairs over Z, F_2, F_3 and F_5 in ranks 1..6: fixed non-split
+    lattices of Z^2, then seeded random spans against a zero, ambient,
+    equal, nested (a sublattice or subspace of the first) or random
+    second operand."""
+    fixed = [span(ZZ, 2, rows) for rows in ([(2, 0)], [(2, 2), (0, 3)], [(1, 0)], [(1, 1)],
+                                            [(4, 6)], [(2, 0), (0, 2)], [(1, 2), (0, 4)])]
+    for u in fixed:
+        for w in fixed:
+            yield "fixed", u, w
+    for _ in range(2400):
+        ring = rng.choice((ZZ, GF(2), GF(3), GF(5)))
+        n = rng.randint(1, 6)
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+
+        def combinations_of(source, count: int):
+            coeffs = [[rng.randint(-4, 4) for _ in source] for _ in range(count)]
+            return [[sum(c * row[j] for c, row in zip(cs, source)) for j in range(n)] for cs in coeffs]
+
+        u = span(ring, n, combinations_of(unit, rng.randint(0, n + 1)))
+        kind = rng.choice(_KINDS)
+        if kind == "zero":
+            w = zero_module(ring, n)
+        elif kind == "ambient":
+            w = ambient_module(ring, n)
+        elif kind == "equal":
+            w = span(ring, n, u.basis)
+        elif kind == "nested":
+            w = span(ring, n, combinations_of(u.basis, rng.randint(0, u.rank + 1)))
+        else:
+            w = span(ring, n, combinations_of(unit, rng.randint(0, n + 1)))
+        yield kind, u, w
+
+
+def test_intersect_matches_the_kernel_route():
+    seen, pairs = set(), 0
+    for kind, u, w in _intersection_pairs(random.Random(59)):
+        expected = reference_intersect(u, w)
+        assert intersect(u, w) == expected == intersect(w, u), (u, w)
+        seen.add((u.ring.p, u.ambient, kind))
+        pairs += 1
+    assert pairs >= 2000
+    assert {(p, n, kind) for p in (0, 2, 3, 5) for n in range(1, 7) for kind in _KINDS} <= seen
+
+
+def test_intersect_is_one_echelon_without_a_kernel(monkeypatch):
+    cases = [(span(ZZ, 3, [(1, 2, 0), (0, 0, 5)]), span(ZZ, 3, [(2, 0, 1), (0, 2, 5)])),
+             (span(GF(3), 3, [(1, 2, 0)]), span(GF(3), 3, [(1, 2, 0), (0, 0, 1)]))]
+    zero, full = zero_module(ZZ, 3), ambient_module(ZZ, 3)
+    echelon, calls = exactlin._echelon, []
+
+    def counted(*args):
+        calls.append(args)
+        return echelon(*args)
+
+    def no_kernel(m):
+        raise AssertionError("intersect ran left_kernel")
+
+    monkeypatch.setattr(exactlin, "_echelon", counted)
+    monkeypatch.setattr(exactlin, "left_kernel", no_kernel)
+    for u, w in cases:
+        calls.clear()
+        intersect(u, w)
+        assert len(calls) == 1
+    calls.clear()
+    for u in (zero, full):
+        intersect(u, cases[0][0])
+        intersect(cases[0][0], u)
+    assert not calls
 
 
 def test_contains_examples():
@@ -418,7 +503,7 @@ def test_canonicalize_is_idempotent_and_row_mixing_invariant(case, data):
     p, n, rows = case
     ring = _ring(p)
     sub = canonicalize(Matrix.from_rows(ring, rows, n))
-    assert canonicalize(sub.basis_matrix()) == sub
+    assert canonicalize(Matrix.from_rows(ring, sub.basis, n)) == sub
     assert sub.rank == _rank(rows, n, p)
     mixed = _mix(rows, data.draw(_row_mixings(len(rows))))
     assert canonicalize(Matrix.from_rows(ring, mixed, n)) == sub
