@@ -121,6 +121,14 @@ def _build_complex(args) -> SimplicialComplex:
     raise SystemExit(f"unknown complex kind {kind!r}")
 
 
+def _certified_homology(k: SimplicialComplex, max_dim: int | None, results: dict):
+    """H~ of ``k``, only below ``max_dim`` if ``k`` was cut there, and the
+    report says so: the top degree of a cut complex has no boundary into it."""
+    if max_dim is not None:
+        results["certified_up_to_degree"] = max_dim - 1
+    return homology(chains(k), up_to_degree=results.get("certified_up_to_degree"))
+
+
 def cmd_build(args) -> int:
     k = _build_complex(args)
     text = dump_complex(k)
@@ -141,9 +149,11 @@ def cmd_homology(args) -> int:
     else:
         k = _build_complex(args)
         source = {"kind": args.kind, "n": args.n, "p": args.p, "a": args.a, "b": args.b}
-    prof = homology(chains(k))
+        if args.max_dim is not None:
+            source["max_dim"] = args.max_dim
     config = {"command": "homology", "seed": args.seed, "format": args.format, **source}
-    results = {"f_vector": k.f_vector(), "profile": prof.to_jsonable()}
+    results: dict = {"f_vector": k.f_vector()}
+    results["profile"] = _certified_homology(k, source.get("max_dim"), results).to_jsonable()
     verdicts = [{"check": "homology-computed", "pass": True}]
     return _emit(_report(config, results, verdicts, started, args.timing), args)
 
@@ -191,11 +201,14 @@ def cmd_cbp(args) -> int:
 def _suite_connectivity(args, results, verdicts):
     n, p = args.n, args.p
     k = common_basis_complex(n, p, **_caps(args))
-    prof = homology(chains(k))
+    prof = _certified_homology(k, args.max_dim, results)
     results["profile"] = prof.to_jsonable()
+    # a cut below 2n-2 leaves degrees of the claim uncertified, so it fails
+    certified = args.max_dim is None or args.max_dim > 2 * n - 3
     low_ok = all(d > 2 * n - 4 for d in prof.nonzero_degrees())
     top_free = not prof.torsion(2 * n - 3)
-    verdicts.append({"check": f"connectivity-common-basis-n{n}-p{p}", "pass": low_ok and top_free})
+    verdicts.append({"check": f"connectivity-common-basis-n{n}-p{p}",
+                     "pass": certified and low_ok and top_free})
 
 
 def _suite_koszul(args, results, verdicts):
@@ -261,8 +274,8 @@ def _suite_join(args, results, verdicts):
 def _suite_split_compare(args, results, verdicts):
     a, b, n, p = args.a, args.b, args.n, args.p
     caps = _caps(args)
-    left = homology(chains(higher_tits(a, b, n, p, **caps)))
-    right = homology(chains(higher_tits(a + b, 0, n, p, **caps)))
+    left = _certified_homology(higher_tits(a, b, n, p, **caps), args.max_dim, results)
+    right = _certified_homology(higher_tits(a + b, 0, n, p, **caps), args.max_dim, results)
     results["split_profile"] = left.to_jsonable()
     results["flag_profile"] = right.to_jsonable()
     verdicts.append(

@@ -29,7 +29,6 @@ from commonbasis.complexes import (
     SimplicialComplex,
     _add_with_faces,
     _clique_complex,
-    _st_less,
     dump_label,
     label_key,
     label_members,
@@ -476,6 +475,20 @@ def reference_common_basis_complex(n: int, p: int):
                            lambda s: len(s) <= 2 or test([labels[i] for i in s]))
 
 
+def st_less(a: tuple[Submodule, Submodule], b: tuple[Submodule, Submodule]) -> bool:
+    """(P, Q) < (P', Q') in the splitting complex: P < P' and Q' < Q, by
+    ``contains``."""
+    return a[0] != b[0] and contains(b[0], a[0]) and a[1] != b[1] and contains(a[1], b[1])
+
+
+def reference_comparable(x, y) -> bool:
+    """Whether two flag vertices or two splitting pairs are comparable, by
+    ``contains``."""
+    if isinstance(x, Submodule):
+        return x != y and (contains(x, y) or contains(y, x))
+    return st_less(x, y) or st_less(y, x)
+
+
 def reference_higher_tits(a: int, b: int, n: int, p: int, sigma=None):
     """The higher building relative to ``sigma``, which must have a common
     basis, labelled as ``complexes.higher_tits`` labels it."""
@@ -491,11 +504,7 @@ def reference_higher_tits(a: int, b: int, n: int, p: int, sigma=None):
 
     def comparable(i: int, j: int) -> bool:
         (si, x), (sj, y) = (labels[i], labels[j]) if tagged else ((0, labels[i]), (0, labels[j]))
-        if si != sj:
-            return True
-        if si < a:
-            return x != y and (contains(x, y) or contains(y, x))
-        return _st_less(x, y) or _st_less(y, x)
+        return si != sj or reference_comparable(x, y)
 
     def edge(i: int, j: int) -> bool:
         return comparable(i, j) and test(members_of[i] + members_of[j])

@@ -119,6 +119,41 @@ def test_verify_suites_honour_the_caps(capsys):
                                              "message": "model exceeds 2 simplices"}
 
 
+def test_truncated_complexes_report_only_the_degrees_they_certify(capsys, tmp_path):
+    # CB(F_2^3) cut at dimension 3 has no 4-simplices, so ker d_3 (rank 148)
+    # is not its H_3 = Z^8; the report stops below the cut and says so, and
+    # the connectivity claim, which reaches degree 2n-3 = 3, fails unchecked
+    code, out = run(capsys, "verify", "connectivity", "--n", "3", "--p", "2", "--max-dim", "3")
+    report = json.loads(out)
+    assert code == 1 and report["config"]["max_dim"] == 3
+    assert report["results"] == {"certified_up_to_degree": 2, "profile": {}}
+    assert report["verdicts"] == [{"check": "connectivity-common-basis-n3-p2", "pass": False}]
+    code, out = run(capsys, "verify", "connectivity", "--n", "3", "--p", "2", "--max-dim", "1")
+    assert code == 1 and json.loads(out)["results"] == {"certified_up_to_degree": 0,
+                                                        "profile": {}}
+    code, out = run(capsys, "verify", "connectivity", "--n", "3", "--p", "2", "--max-dim", "4")
+    assert code == 0
+    assert json.loads(out)["results"] == {"certified_up_to_degree": 3,
+                                          "profile": {"3": {"betti": 8, "torsion": []}}}
+    _, full = run(capsys, "verify", "connectivity", "--n", "3", "--p", "2")
+    assert json.loads(full)["results"] == {"profile": {"3": {"betti": 8, "torsion": []}}}
+    # homology echoes max_dim only when it is given
+    _, out = run(capsys, "homology", "--kind", "cb", "--n", "3", "--p", "2", "--max-dim", "3")
+    report = json.loads(out)
+    assert report["config"]["max_dim"] == 3 and report["results"]["f_vector"] == [14, 91, 266, 336]
+    assert report["results"]["certified_up_to_degree"] == 2 and report["results"]["profile"] == {}
+    _, out = run(capsys, "homology", "--kind", "cb", "--n", "3", "--p", "2")
+    report = json.loads(out)
+    assert "max_dim" not in report["config"] and "certified_up_to_degree" not in report["results"]
+    # a loaded complex was never cut, so --max-dim leaves its homology whole
+    target = tmp_path / "cb.cplx"
+    run(capsys, "build", "cb", "--n", "3", "--p", "2", "--max-dim", "3", "--out", str(target))
+    _, out = run(capsys, "homology", "--file", str(target), "--max-dim", "2")
+    report = json.loads(out)
+    assert "max_dim" not in report["config"] and "certified_up_to_degree" not in report["results"]
+    assert report["results"]["profile"] == {"3": {"betti": 148, "torsion": []}}
+
+
 def test_verify_config_echoes_the_simplex_cap(capsys):
     args = ["verify", "split-compare", "--a", "1", "--b", "1", "--n", "2", "--p", "3"]
     _, default = run(capsys, *args)

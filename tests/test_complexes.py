@@ -1,4 +1,5 @@
 import random
+from math import factorial, prod
 
 import pytest
 
@@ -26,13 +27,17 @@ from commonbasis.complexes import (
 from commonbasis.exactlin import GF, ZZ, all_subspaces, ambient_module, span
 from commonbasis.homology import chains, homology
 from helpers import (
+    _all_bases,
     brute_force_cbp,
     empty_complex,
     from_label_facets,
     full_subcomplex,
     has_label_simplex,
     intersect_complexes,
+    random_invertible_mod_p,
+    random_subspace,
     reference_common_basis_complex,
+    reference_comparable,
     reference_higher_tits,
     simplices_of_dim,
     star,
@@ -202,11 +207,12 @@ def test_membership_query_over_Z():
 
 
 def test_decision_strategies_agree(monkeypatch):
-    # the complexes cut out by has_cbp_ie equal those cut out by the
-    # brute-force oracle, which searches every basis of F_p^n
+    # the complexes cut out by frames equal those cut out on the deciding
+    # route by the brute-force oracle, which searches every basis of F_p^n
     instances = [(common_basis_complex, (n, p)) for n, p in [(2, 2), (3, 2), (2, 3)]]
     instances += [(higher_tits, args) for args in [(2, 0, 2, 2), (1, 1, 2, 2), (2, 0, 3, 2)]]
     built = [build(*args) for build, args in instances]
+    _force_the_deciding_route(monkeypatch)
     monkeypatch.setattr(complexes, "has_cbp_ie",
                         lambda col: brute_force_cbp(col.members, col.ambient, col.ring.p))
     for (build, args), k in zip(instances, built, strict=True):
@@ -233,14 +239,26 @@ def test_mask_keyed_builders_match_the_member_list_reference():
         assert higher_tits(1, 0, 3, 3, sigma) == reference_higher_tits(1, 0, 3, 3, sigma)
 
 
-def test_builders_decide_each_member_set_once(monkeypatch):
+def _force_the_deciding_route(monkeypatch) -> None:
+    """Take away the frame tables, so ``has_cbp_ie`` decides every build."""
+    monkeypatch.setattr(complexes, "_frame_table", lambda n, p: None)
+
+
+def _record_decisions(monkeypatch) -> list:
+    """Spy on the builders' decision hook: each decided member set, in order."""
     decided = []
+    hook = complexes._has_common_basis
 
-    def recording(col):
-        decided.append(frozenset(col.members))
-        return cbp.has_cbp_ie(col)
+    def recording(ring, n, members):
+        decided.append(frozenset(members))
+        return hook(ring, n, members)
 
-    monkeypatch.setattr(complexes, "has_cbp_ie", recording)
+    monkeypatch.setattr(complexes, "_has_common_basis", recording)
+    return decided
+
+
+def test_builders_decide_each_member_set_once(monkeypatch):
+    decided = _record_decisions(monkeypatch)
     line = span(GF(2), 2, [(1, 0)])
     for build, args in [(common_basis_complex, (3, 2)), (higher_tits, (2, 0, 2, 2)),
                         (higher_tits, (1, 0, 2, 2, collection([line])))]:
@@ -252,13 +270,7 @@ def test_builders_decide_each_member_set_once(monkeypatch):
 def test_builds_without_sigma_decide_no_single_vertex(monkeypatch):
     # one subspace, or one splitting pair, always has a common basis, so
     # only a relative build decides its vertices, each together with sigma
-    decided = []
-
-    def recording(col):
-        decided.append(frozenset(col.members))
-        return cbp.has_cbp_ie(col)
-
-    monkeypatch.setattr(complexes, "has_cbp_ie", recording)
+    decided = _record_decisions(monkeypatch)
     # deciding every vertex as well took 7, 1,015 and 14 decisions
     for build, args, reference, calls in [
             (common_basis_complex, (2, 2), reference_common_basis_complex, 4),
@@ -281,10 +293,10 @@ def test_only_one_factor_builds_without_sigma_skip_decisions(monkeypatch):
     class Decided(Exception):
         pass
 
-    def refuse(col):
+    def refuse(ring, n, members):
         raise Decided
 
-    monkeypatch.setattr(complexes, "has_cbp_ie", refuse)
+    monkeypatch.setattr(complexes, "_has_common_basis", refuse)
     assert tits(3, 3).f_vector() == [26, 52]
     assert split_tits(3, 2).num_simplices() > 0
     assert higher_tits(1, 0, 3, 2) == tits(3, 2)
@@ -299,6 +311,7 @@ def test_only_one_factor_builds_without_sigma_skip_decisions(monkeypatch):
 def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
     cb = common_basis_complex(3, 3)
     sigmas = _sigmas(cb)
+    _force_the_deciding_route(monkeypatch)  # both builds decide by has_cbp_ie
 
     def build_all():
         cbp._decide.cache_clear()
@@ -311,6 +324,109 @@ def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
     assert len(sigmas) > 30 and bits[0] == cb
     for a, b in zip(bits, generic, strict=True):
         assert a == b
+
+
+_CLASSES = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]  # every one- and two-factor class
+
+
+def _seeded_sigmas(rng, n: int, p: int, count: int) -> list:
+    """``count`` seeded simplices of ``common_basis_complex(n, p)`` as
+    collections, so each has a common basis."""
+    cb = common_basis_complex(n, p)
+    simplices = sorted(cb.simplex_set())
+    return [collection([cb.vertices[i] for i in rng.choice(simplices)], ring=GF(p), ambient=n)
+            for _ in range(count)]
+
+
+def test_frame_route_builds_what_the_deciding_route_builds(monkeypatch):
+    rng = random.Random(2110)
+    builds = [(common_basis_complex, (n, p)) for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]]
+    for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        sigmas = [None] + _seeded_sigmas(rng, n, p, 2)
+        builds += [(higher_tits, (a, b, n, p, sigma)) for a, b in _CLASSES for sigma in sigmas]
+    lines = collection([span(GF(2), 2, [v]) for v in [(1, 0), (0, 1), (1, 1)]])
+    by_frames = [build(*args) for build, args in builds]
+    with pytest.raises(ComplexError, match="must itself have a common basis"):
+        higher_tits(1, 1, 2, 2, lines)
+    _force_the_deciding_route(monkeypatch)
+    decided = _record_decisions(monkeypatch)
+    for (build, args), k in zip(builds, by_frames, strict=True):
+        again = build(*args)
+        assert again.vertices == k.vertices and again.levels == k.levels, args
+    assert decided
+    with pytest.raises(ComplexError, match="must itself have a common basis"):
+        higher_tits(1, 1, 2, 2, lines)
+
+
+def test_frame_table_counts_frames_and_decides_as_inclusion_exclusion():
+    for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]:
+        table = complexes._frame_table(n, p)
+        closed_form = prod(p ** n - p ** i for i in range(n)) // ((p - 1) ** n * factorial(n))
+        assert closed_form == len(_all_bases(n, p)) // (p - 1) ** n  # unordered bases / units
+        union = 0
+        for frames in table.values():
+            union |= frames
+        assert union == (1 << closed_form) - 1, (n, p)
+        # each frame has its 2^n - 2 coordinate summands, each subspace an entry
+        assert sum(f.bit_count() for f in table.values()) == closed_form * (2 ** n - 2)
+        assert len(table) == len(all_subspaces(n, p, 1, n - 1))
+    # the frame cap counts frames by the closed form: it admits F_5^3 (3,875)
+    # and F_61^2 (1,891) and stops F_7^3 (26,068); the bitset cap stops
+    # F_67^2 (2,278 frames)
+    assert 3_875 <= complexes._FRAME_CAP < 26_068 and complexes._frame_table(2, 61) is not None
+    assert complexes._frame_table(3, 7) is None and complexes._frame_table(2, 67) is None
+    rng = random.Random(2111)
+    seen = set()
+    for n, p in [(3, 2), (3, 3), (4, 2)]:
+        ring = GF(p)
+        for trial in range(300):
+            k = rng.randint(1, 6)
+            if trial % 2:
+                members = [random_subspace(rng, n, p) for _ in range(k)]
+            else:  # coordinate summands of one basis, one of them perhaps moved
+                basis = random_invertible_mod_p(rng, n, p).entries
+                members = [span(ring, n, [basis[i] for i in range(n) if rng.random() < 0.5])
+                           for _ in range(k)]
+                if trial % 4:
+                    members[0] = random_subspace(rng, n, p)
+            frames = complexes._has_common_basis(ring, n, tuple(members))
+            assert frames == cbp.has_cbp_ie(collection(members, ring, n)), members
+            seen.add(frames)
+    assert seen == {True, False}
+
+
+def _captured_relations(monkeypatch, a: int, b: int, n: int, p: int):
+    """The labels and slot relation ``higher_tits(a, b, n, p)`` hands to its
+    enumerator, captured without building."""
+    got = []
+
+    def capture(labels, related, *rest):
+        got.append((labels, related))
+        return empty_complex()
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_clique_complex", capture)
+        m.setattr(complexes, "_common_basis_build", capture)
+        higher_tits(a, b, n, p)
+    return got[0]
+
+
+def test_mask_slot_relation_matches_the_contains_reference(monkeypatch):
+    # element masks up to the bitset cap; with the cap at 0, the subspaces
+    cases = [(cbp._FP_BITS_CAP, n, p) for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]]
+    for cap, n, p in cases + [(0, 2, 3), (0, 3, 2)]:
+        monkeypatch.setattr(complexes, "_FP_BITS_CAP", cap)
+        for a, b in _CLASSES:
+            labels, related = _captured_relations(monkeypatch, a, b, n, p)
+            tagged = labels if a + b > 1 else [(0, lbl) for lbl in labels]
+            edges = 0
+            for i, (si, x) in enumerate(tagged):
+                for j in range(i + 1, len(tagged)):
+                    sj, y = tagged[j]
+                    want = si != sj or reference_comparable(x, y)
+                    assert related(i, j) == related(j, i) == want, (a, b, n, p, x, y)
+                    edges += want
+            assert edges > 0 or (n, a + b) == (2, 1), (a, b, n, p)
 
 
 def test_caps_raise():
@@ -421,7 +537,8 @@ def test_stabilization_tower_rank_three():
     t3 = homology(chains(higher_tits(3, 0, 3, 2)))
     for d in range(-1, 4):
         assert t3.betti(d) == cb.betti(d) and t3.torsion(d) == cb.torsion(d)
-    k4 = higher_tits(4, 0, 3, 2)
+    # cut at dimension 4, the complex has every boundary into degree 3
+    k4 = higher_tits(4, 0, 3, 2, max_dim=4)
     prof = homology(chains(k4), up_to_degree=3)
     for d in range(-1, 4):
         assert prof.betti(d) == cb.betti(d) and prof.torsion(d) == cb.torsion(d)
