@@ -240,6 +240,8 @@ def _suite_morse(args, results, verdicts):
 
 def _suite_suspension(args, results, verdicts):
     rep = check_suspension(args.a, args.b, args.n, args.p, **_caps(args))
+    if args.max_dim is not None:
+        results["certified_up_to_degree"] = args.max_dim - 1
     results["building"] = rep.building_profile.to_jsonable()
     results["model"] = rep.model_profile.to_jsonable()
     verdicts.append(

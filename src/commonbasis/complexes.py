@@ -437,28 +437,38 @@ def _common_basis_build(labels: Sequence, related: Callable[[int, int], bool], n
     """The cliques of ``related`` on ``labels`` whose members, together with
     sigma's, have a common basis.
 
-    ``mask`` numbers the build's distinct subspaces, and ``test(m)`` decides
-    the members in mask ``m`` with sigma's, once per mask.  Exact, as a
-    decision depends only on the set of member bases, and canonical bases
-    make subspaces and bases one to one.  Sigma is checked before any cap.
+    ``mask`` numbers the build's distinct subspaces into ``numbered``, and
+    ``test(m)`` decides the members of mask ``m`` with sigma's, once per
+    mask: exact, as a decision depends only on the set of member bases,
+    canonical and so one to one with subspaces.  Sigma goes before any cap.
 
     Without sigma a single vertex is accepted undecided.  Its members are
     one subspace, whose own basis extends to a common basis, or a splitting
     pair, whose two bases together form one."""
     ring = GF(p)
     index: dict[Submodule, int] = {}
+    numbered: list[Submodule] = []
     decided: dict[int, bool] = {}
 
     def mask(members: Iterable[Submodule]) -> int:
-        return sum({1 << index.setdefault(s, len(index)) for s in members})
+        m = 0
+        for s in members:
+            if s not in index:
+                index[s] = len(numbered)
+                numbered.append(s)
+            m |= 1 << index[s]
+        return m
 
     sigma = mask(sigma_members)
 
     def test(m: int) -> bool:
         m |= sigma
         if m not in decided:
-            mems = tuple(s for s, i in index.items() if m >> i & 1)
-            decided[m] = _has_common_basis(ring, n, mems)
+            mems, rest = [], m
+            while rest:
+                mems.append(numbered[(rest & -rest).bit_length() - 1])
+                rest &= rest - 1
+            decided[m] = _has_common_basis(ring, n, tuple(mems))
         return decided[m]
 
     if sigma_members and not test(0):

@@ -170,18 +170,16 @@ def _hnf(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]
         if not live:
             continue
         # Chase the gcd into row r.
-        while True:
-            live = [i for i in range(r, len(mat)) if mat[i][c]]
-            if len(live) == 1:
-                i = live[0]
-                mat[r], mat[i] = mat[i], mat[r]
-                break
+        while len(live) > 1:
             i = min(live, key=lambda k: abs(mat[k][c]))
             mat[r], mat[i] = mat[i], mat[r]
             for i in range(r + 1, len(mat)):
                 if mat[i][c]:
                     q = mat[i][c] // mat[r][c]
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+            live = [i for i in range(r, len(mat)) if mat[i][c]]
+        i = live[0]
+        mat[r], mat[i] = mat[i], mat[r]
         if mat[r][c] < 0:
             mat[r] = [-x for x in mat[r]]
         for i in range(r):

@@ -10,10 +10,8 @@ coefficients), never through a field shortcut: torsion in any of the groups
 this package verifies would be a finding, not an inconvenience.
 
 Every boundary (and every chain map of ``simpmodel``) is stored by column,
-as ``{col: {row: value}}``: assembly writes one column per basis element,
-and products such as the boundary-squared check are taken column by
-column.  The Smith normal form alone reads ``{(row, col): value}``; that
-copy is made as a boundary is cleared.
+as ``{col: {row: value}}``, the one layout: assembly writes it, and the
+boundary-squared check and the Smith normal form read it as stored.
 
 The Smith normal form engine first eliminates zero-fill unit pivots (a
 unit alone in its row or column) from a FIFO queue, then the other unit
@@ -34,7 +32,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 from .exactlin import _snf_dense
 
@@ -60,10 +58,11 @@ class HomologyError(Exception):
 # - clearing (``ChainComplex.boundary_divisors``) needs only that the
 #   reported columns are unit-phase pivots, and its proof does not depend
 #   on their order.
-def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
+def snf_divisors(columns: dict[int, dict[int, int]], cleared: Collection[int] = (),
                  unit_pivot_cols: list[int] | None = None) -> list[int]:
     """Nonzero elementary divisors ``d_1 | d_2 | ...`` of a sparse integer
-    matrix given as ``{(row, col): value}``.
+    matrix stored by column, ``{col: {row: value}}``, with the rows in
+    ``cleared`` left out.  ``columns`` is read, never changed.
 
     Units alone in their row or column are pivoted first, from a FIFO queue
     seeded in row order and fed as elimination leaves such units behind.
@@ -76,10 +75,11 @@ def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
     are never reported."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    for c, column in columns.items():
+        for r, v in column.items():
+            if v and r not in cleared:
+                rows.setdefault(r, {})[c] = v
+                cols.setdefault(c, set()).add(r)
 
     queue = deque((r, c) for r in sorted(rows) for c, v in rows[r].items()
                   if v in (1, -1) and (len(rows[r]) == 1 or len(cols[c]) == 1))
@@ -153,9 +153,6 @@ def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
         if unit_pivot_cols is not None:
             unit_pivot_cols.append(c)
 
-    if not rows:
-        return [1] * unit_count
-
     # Residual without unit entries: hand off to the dense exact routine.
     # After unit elimination of simplicial boundary matrices this residual is
     # tiny (it carries exactly the torsion), so the dense cost is irrelevant;
@@ -163,15 +160,9 @@ def snf_divisors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
     if len(live_rows) * len(live_cols) > 4_000_000:
-        raise HomologyError(
-            f"residual matrix {len(live_rows)}x{len(live_cols)} without unit pivots "
-            "is too large for the dense fallback"
-        )
-    col_of = {c: j for j, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            dense[i][col_of[c]] = v
+        raise HomologyError(f"residual matrix {len(live_rows)}x{len(live_cols)} without unit "
+                            "pivots is too large for the dense fallback")
+    dense = [[rows[r].get(c, 0) for c in live_cols] for r in live_rows]
     residual, _ = _snf_dense(dense, len(live_cols))
     return [1] * unit_count + _normalize_chain(residual)
 
@@ -286,15 +277,9 @@ class ChainComplex:
                 break
             if e in self._divisor_cache:
                 continue
-            # snf_divisors takes {(row, col): value}; the rows to clear
-            # are left out of that copy
             cleared = self._unit_pivots.pop(e - 1, ())
-            entries = {(r, c): v for c, column in self.boundaries[e].items()
-                       for r, v in column.items() if r not in cleared}
             pivots: list[int] = []
-            self._divisor_cache[e] = (
-                snf_divisors(entries, self.size(e - 1), self.size(e), pivots) if entries else []
-            )
+            self._divisor_cache[e] = snf_divisors(self.boundaries[e], cleared, pivots)
             self._unit_pivots[e] = set(pivots)
         return self._divisor_cache.get(d, [])
 

@@ -527,11 +527,13 @@ def check_suspension(a: int, b: int, n: int, p: int,
                      max_dim: int | None = None) -> SuspensionReport:
     """Compare the reduced homology of the higher building with the model's
     homology shifted down by a+b+1 in every degree.  The caps go to the
-    building; ``max_simplices`` bounds the model too."""
+    building; ``max_simplices`` bounds the model too.  A building cut at
+    ``max_dim`` is certified only below it, and a model degree beyond fails."""
     if n < 1:
         raise ModelError("suspension comparison needs positive rank")
     building = homology(chains(higher_tits(a, b, n, p, max_vertices=max_vertices,
-                                           max_simplices=max_simplices, max_dim=max_dim)))
+                                           max_simplices=max_simplices, max_dim=max_dim)),
+                        up_to_degree=None if max_dim is None else max_dim - 1)
     model_prof = d_model(a, b, n, p, max_simplices).homology()
     ok = model_prof == building.shifted(a + b + 1)
     return SuspensionReport(a, b, n, p, ok, building, model_prof)

@@ -154,6 +154,32 @@ def test_truncated_complexes_report_only_the_degrees_they_certify(capsys, tmp_pa
     assert report["results"]["profile"] == {"3": {"betti": 148, "torsion": []}}
 
 
+def test_truncated_suspension_compares_only_the_certified_degrees(capsys):
+    # higher_tits(2,0,3,2) is 3-dimensional with H~_3 = Z^64, the model's
+    # H~_6 shifted down by a+b+1 = 3; cut at dimension 2 its top degree
+    # would read ker d_2 = Z^377, a group that is not there
+    model = {"6": {"betti": 64, "torsion": []}}
+    args = ["verify", "suspension", "--a", "2", "--b", "0", "--n", "3", "--p", "2"]
+    code, out = run(capsys, *args, "--max-dim", "2")
+    assert code == 1 and json.loads(out)["results"] == {
+        "building": {}, "certified_up_to_degree": 1, "model": model}
+    # cut at its own dimension the complex is whole, but the cut complex
+    # cannot show it, so degree 3 stays uncertified and the model needs it
+    code, out = run(capsys, *args, "--max-dim", "3")
+    assert code == 1 and json.loads(out)["results"] == {
+        "building": {}, "certified_up_to_degree": 2, "model": model}
+    code, out = run(capsys, *args, "--max-dim", "4")
+    assert code == 0 and json.loads(out)["results"] == {
+        "building": {"3": {"betti": 64, "torsion": []}}, "certified_up_to_degree": 3,
+        "model": model}
+    # nor is ker d_2 = Z^944 of the a=b=1 building cut at dimension 2
+    code, out = run(capsys, "verify", "suspension", "--a", "1", "--b", "1", "--n", "3",
+                    "--p", "2", "--max-dim", "2")
+    report = json.loads(out)
+    assert code == 1 and report["results"]["building"] == {}
+    assert report["results"]["certified_up_to_degree"] == 1
+
+
 def test_verify_config_echoes_the_simplex_cap(capsys):
     args = ["verify", "split-compare", "--a", "1", "--b", "1", "--n", "2", "--p", "3"]
     _, default = run(capsys, *args)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -180,13 +182,13 @@ def test_sparse_snf_against_dense():
     rng = random.Random(61)
     for _ in range(250):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        entries = {}
+        columns: dict[int, dict[int, int]] = {}
         for r in range(m):
             for c in range(n):
                 if rng.random() < 0.4:
-                    entries[(r, c)] = rng.randint(-6, 6)
-        sparse = snf_divisors(dict(entries), m, n)
-        rows = [[entries.get((r, c), 0) for c in range(n)] for r in range(m)]
+                    columns.setdefault(c, {})[r] = rng.randint(-6, 6)
+        sparse = snf_divisors(columns)
+        rows = [[columns.get(c, {}).get(r, 0) for c in range(n)] for r in range(m)]
         dense, _ = _snf_dense(rows, n)
         assert sparse == dense
 
@@ -205,13 +207,13 @@ def test_sparse_snf_recovers_planted_divisors():
             planted.append(planted[-1] * rng.choice([1, 1, 2, 3]))
         u = random_unimodular(rng, m).entries
         v = random_unimodular(rng, n).entries
-        entries = {}
+        columns: dict[int, dict[int, int]] = {}
         for i in range(m):
             for j in range(n):
                 val = sum(u[i][k] * planted[k] * v[k][j] for k in range(r))
                 if val:
-                    entries[(i, j)] = val
-        assert snf_divisors(entries, m, n) == planted
+                    columns.setdefault(j, {})[i] = val
+        assert snf_divisors(columns) == planted
 
 
 def test_kunneth_for_joins_of_buildings():
@@ -259,10 +261,12 @@ def test_solomon_tits_small():
 # ---------------------------------------------------------------------------
 
 
-def _entries(columns: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
-    """A matrix stored by column, as the ``{(row, col): value}`` entries
-    that ``snf_divisors`` takes."""
-    return {(r, c): v for c, column in columns.items() for r, v in column.items()}
+def _entries(columns: dict[int, dict[int, int]], cleared=()) -> dict[tuple[int, int], int]:
+    """A matrix stored by column, with the rows in ``cleared`` deleted, as
+    the ``{(row, col): value}`` entries that ``reference_snf_divisors``
+    takes: the reference reads its own copy, not the columns."""
+    return {(r, c): v for c, column in columns.items() for r, v in column.items()
+            if r not in cleared}
 
 
 def _assert_clearing_exact(c: ChainComplex) -> int:
@@ -271,11 +275,11 @@ def _assert_clearing_exact(c: ChainComplex) -> int:
     dropped = 0
     for d in sorted(c.boundaries):
         full = c.boundaries[d]
-        assert c.boundary_divisors(d) == snf_divisors(_entries(full), c.size(d - 1), c.size(d)), d
+        assert c.boundary_divisors(d) == snf_divisors(full), d
         below = c.boundaries.get(d - 1)
         if below:
             pivots: list[int] = []
-            snf_divisors(_entries(below), c.size(d - 2), c.size(d - 1), pivots)
+            snf_divisors(below, (), pivots)
             cleared = set(pivots)
             dropped += len({r for column in full.values() for r in column if r in cleared})
     return dropped
@@ -331,17 +335,15 @@ def test_clearing_matches_uncleared_divisors_on_every_complex_class():
 
 
 def _reduced_inputs(c: ChainComplex):
-    """Per degree, the boundary of ``c`` as ``boundary_divisors`` hands it
-    to ``snf_divisors``: its rows at the unit pivots reported one degree
-    down dropped.  Yields the degree, those entries, their divisors and
-    their unit pivots."""
+    """Per degree, the boundary of ``c`` as ``boundary_divisors`` reduces
+    it: its rows at the unit pivots reported one degree down cleared.
+    Yields the degree, the entries left after clearing, their divisors
+    and their unit pivots."""
     cleared: set[int] = set()
     for d in sorted(c.boundaries):
-        entries = {(r, col): v for col, column in c.boundaries[d].items()
-                   for r, v in column.items() if r not in cleared}
         pivots: list[int] = []
-        divisors = snf_divisors(entries, c.size(d - 1), c.size(d), pivots) if entries else []
-        yield d, entries, divisors, pivots
+        divisors = snf_divisors(c.boundaries[d], cleared, pivots)
+        yield d, _entries(c.boundaries[d], cleared), divisors, pivots
         cleared = set(pivots)
 
 
@@ -355,8 +357,8 @@ def test_queue_engine_matches_the_heap_engine_on_every_complex_class():
             m, n = c.size(d - 1), c.size(d)
             assert divisors == reference_snf_divisors(entries, m, n), (name, d)
             if name != "d_model(2,0,3,2)":  # its full boundaries take seconds per engine
-                full = _entries(c.boundaries[d])
-                assert snf_divisors(full, m, n) == reference_snf_divisors(full, m, n), (name, d)
+                full = c.boundaries[d]
+                assert snf_divisors(full) == reference_snf_divisors(_entries(full), m, n), (name, d)
 
 
 def test_queue_engine_unit_pivots_clear_exactly():
@@ -369,6 +371,42 @@ def test_queue_engine_unit_pivots_clear_exactly():
             assert set(pivots) <= {col for _, col in entries}, (name, d)
             full = _entries(c.boundaries[d])
             assert divisors == reference_snf_divisors(full, c.size(d - 1), c.size(d)), (name, d)
+
+
+# sha256 of the JSON list of [class name, degree, unit pivots on the
+# cleared boundary, unit pivots on the full boundary] over
+# ``_complex_classes()``, as the engine reported them when it read a
+# ``{(row, col): value}`` copy of each boundary made column by column
+_UNIT_PIVOTS_SHA256 = "bcb625236186b633efe94809abd9e0e27fcccf718c5f366aeb6f93571c1966c4"
+
+
+def test_snf_reads_the_columns_in_place_and_leaves_the_cleared_rows_out():
+    # clearing rows is deleting them, also rows the matrix lacks, and a
+    # matrix with every row cleared has no divisors
+    rng = random.Random(2022)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        columns = {c: column for c in range(n)
+                   if (column := {r: rng.choice(_ENTRIES) for r in range(m) if rng.random() < 0.5})}
+        cleared = {r for r in range(m + 2) if rng.random() < 0.3}
+        expected = reference_snf_divisors(_entries(columns, cleared), m, n)
+        assert snf_divisors(columns, cleared) == expected, (columns, cleared)
+        assert snf_divisors(columns, set(range(m))) == []
+    # the columns are walked in the order of the copy they replace, so every
+    # unit pivot, cleared and full, is the one that copy gave; and a
+    # homology run leaves the boundaries as they were
+    records = []
+    for name, c in _complex_classes():
+        before = {d: {col: dict(column) for col, column in cols.items()}
+                  for d, cols in c.boundaries.items()}
+        for d, _, _, pivots in _reduced_inputs(c):
+            full: list[int] = []
+            snf_divisors(c.boundaries[d], (), full)
+            records.append([name, d, pivots, full])
+        homology(c)
+        assert c.boundaries == before, name
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == _UNIT_PIVOTS_SHA256
 
 
 def test_clearing_keeps_morse_torsion():
@@ -418,14 +456,11 @@ def _check_pair(d1, b2, ops) -> bool:
     residual went through the dense fallback."""
     sizes, boundaries = _chain_pair(d1, b2, ops)
     c = ChainComplex(sizes, boundaries)
-    lower, upper = _entries(boundaries[1]), _entries(boundaries[2])
-    full_lower = snf_divisors(lower, sizes[0], sizes[1]) if lower else []
-    full_upper = snf_divisors(upper, sizes[1], sizes[2]) if upper else []
+    full_lower, full_upper = snf_divisors(boundaries[1]), snf_divisors(boundaries[2])
     assert c.boundary_divisors(1) == full_lower == _dense_divisors(d1)
     assert c.boundary_divisors(2) == full_upper == _dense_divisors(b2)
     pivots: list[int] = []
-    if lower:
-        snf_divisors(lower, sizes[0], sizes[1], pivots)
+    snf_divisors(boundaries[1], (), pivots)
     return len(pivots) < len(full_lower)
 
 
@@ -438,7 +473,7 @@ def test_clearing_never_uses_dense_fallback_pivots():
     lower = {0: {0: 1}, 1: {0: 1}, 2: {1: 2}, 3: {1: 3}}
     upper = {0: {0: 1, 1: -1}, 1: {2: 3, 3: -2}}
     pivots: list[int] = []
-    assert snf_divisors(_entries(lower), 2, 4, pivots) == [1, 1] and len(pivots) == 1
+    assert snf_divisors(lower, (), pivots) == [1, 1] and len(pivots) == 1
     c = ChainComplex(sizes, {1: lower, 2: upper})
     assert c.boundary_divisors(2) == [1, 1]
     assert c.boundary_divisors(1) == [1, 1]

@@ -133,8 +133,8 @@ def test_degree_two_multiplication_is_surjective():
     for dec in ordered_decompositions(2, 2, 2):
         total, coeffs = st_multiply(dec[0], [1], dec[1], [1])
         rows.append(coeffs)
-    entries = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
-    divisors = snf_divisors(entries, len(rows), st2.rank)
+    columns = {c: {r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(st2.rank)}
+    divisors = snf_divisors(columns)
     assert divisors == [1, 1]  # surjective onto Z^2
 
 
