@@ -263,7 +263,10 @@ def test_builders_decide_each_member_set_once(monkeypatch):
     for build, args in [(common_basis_complex, (3, 2)), (higher_tits, (2, 0, 2, 2)),
                         (higher_tits, (1, 0, 2, 2, collection([line])))]:
         decided.clear()
-        build(*args)
+        with monkeypatch.context() as m:
+            if build is common_basis_complex:
+                _force_the_deciding_route(m)  # the frame route decides nothing
+            build(*args)
         assert decided and len(set(decided)) == len(decided), (build.__name__, args)
 
 
@@ -277,10 +280,15 @@ def test_builds_without_sigma_decide_no_single_vertex(monkeypatch):
             (common_basis_complex, (3, 2), reference_common_basis_complex, 1001),
             (higher_tits, (1, 1, 2, 3), reference_higher_tits, 10)]:
         decided.clear()
-        k = build(*args)
+        with monkeypatch.context() as m:
+            if build is common_basis_complex:
+                _force_the_deciding_route(m)  # the frame route decides nothing
+            k = build(*args)
         assert len(decided) == calls and all(len(members) > 1 for members in decided), args
         assert k == reference(*args), args
+    decided.clear()
     cb = common_basis_complex(3, 2)
+    assert common_basis_complex(2, 2).f_vector() == [3, 3] and not decided
     sigma = collection([cb.vertices[0], cb.vertices[-1]], ring=GF(2), ambient=3)
     decided.clear()
     relative = higher_tits(1, 0, 3, 2, sigma)
@@ -301,11 +309,17 @@ def test_only_one_factor_builds_without_sigma_skip_decisions(monkeypatch):
     assert split_tits(3, 2).num_simplices() > 0
     assert higher_tits(1, 0, 3, 2) == tits(3, 2)
     assert higher_tits(0, 1, 2, 3) == split_tits(2, 3)
+    # the frame route builds the common basis complex without deciding
+    assert common_basis_complex(2, 2).f_vector() == [3, 3]
+    assert common_basis_complex(3, 2) == reference_common_basis_complex(3, 2)
     line = span(GF(2), 3, [(1, 0, 0)])
     for build, args in [(higher_tits, (1, 0, 3, 2, collection([line]))),
-                        (higher_tits, (2, 0, 2, 2)), (common_basis_complex, (2, 2))]:
+                        (higher_tits, (2, 0, 2, 2))]:
         with pytest.raises(Decided):
             build(*args)
+    _force_the_deciding_route(monkeypatch)
+    with pytest.raises(Decided):
+        common_basis_complex(2, 2)
 
 
 def test_bitset_and_generic_backends_build_the_same_complexes(monkeypatch):
@@ -356,6 +370,50 @@ def test_frame_route_builds_what_the_deciding_route_builds(monkeypatch):
     assert decided
     with pytest.raises(ComplexError, match="must itself have a common basis"):
         higher_tits(1, 1, 2, 2, lines)
+
+
+def _built_or_capped(build):
+    try:
+        k = build()
+    except CapExceeded as err:
+        return str(err)
+    return k.vertices, k.levels
+
+
+def test_common_basis_frame_route_matches_the_deciding_route_with_every_cap(monkeypatch):
+    # equal complexes, and each cap raises, with the same message, exactly
+    # where the deciding route raises: max_simplices counts the vertices but
+    # is compared only as simplices of dimension >= 1 are added
+    cases = [(n, p, d) for n, p in [(1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+             for d in (None, 0, 1, 2, 3, 10 ** 9)]
+    runs = []
+    for n, p, d in cases:
+        k = common_basis_complex(n, p, max_dim=d)
+        total, count = k.num_simplices(), len(k.vertices)
+        runs.append((n, p, d, {}))
+        for cap in {total, total - 1, count - 1}:
+            runs.append((n, p, d, {"max_simplices": max(cap, 0)}))
+        runs += [(n, p, d, {"max_vertices": cap}) for cap in {count, max(count - 1, 0)}]
+    by_frames = [_built_or_capped(lambda: common_basis_complex(n, p, max_dim=d, **caps))
+                 for n, p, d, caps in runs]
+    _force_the_deciding_route(monkeypatch)
+    deciding = [_built_or_capped(lambda: common_basis_complex(n, p, max_dim=d, **caps))
+                for n, p, d, caps in runs]
+    for run, a, b in zip(runs, by_frames, deciding, strict=True):
+        assert a == b, run
+    capped = [a for a in by_frames if isinstance(a, str)]
+    assert any("simplices" in a for a in capped) and any("vertices" in a for a in capped)
+    # with no edge to add, a cap below the vertex count never raises
+    assert common_basis_complex(3, 2, max_dim=0, max_simplices=13).f_vector() == [14]
+
+
+def test_common_basis_complex_of_F2_4_through_dimension_3():
+    # 840 frames, |GL_4(F_2)| / 4!, each a simplex on its 14 summands
+    frames = 0
+    for mask in complexes._frame_table(4, 2).values():
+        frames |= mask
+    assert frames.bit_count() == prod(2 ** 4 - 2 ** i for i in range(4)) // factorial(4) == 840
+    assert common_basis_complex(4, 2, max_dim=3).f_vector() == [65, 2080, 29505, 201180]
 
 
 def test_frame_table_counts_frames_and_decides_as_inclusion_exclusion():
